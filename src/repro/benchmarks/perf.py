@@ -33,8 +33,7 @@ from repro.atomicio import atomic_write_json
 from repro.benchmarks.programs import TABLE_BENCHMARKS
 from repro.benchmarks.suite import compile_benchmark
 from repro.emulator import (
-    BACKENDS, CodegenEmulator, Emulator, ThreadedEmulator,
-    resolve_backend)
+    BACKENDS, CodegenEmulator, Emulator, resolve_backend)
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -55,11 +54,10 @@ QUICK_BENCHMARKS = ("conc30", "divide10")
 
 _RUNNERS = {
     "reference": Emulator,
-    "threaded": ThreadedEmulator,
     "codegen": CodegenEmulator,
 }
 
-_ABBREV = {"reference": "ref", "threaded": "thr", "codegen": "cg"}
+_ABBREV = {"reference": "ref", "codegen": "cg"}
 
 
 def git_revision():

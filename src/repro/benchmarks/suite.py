@@ -3,16 +3,15 @@
 Emulating the larger benchmarks costs seconds of host CPU, and the
 evaluation pipeline needs each dynamic profile several times (instruction
 mix, branch statistics, compaction input).  ``run_benchmark`` therefore
-memoises :class:`~repro.emulator.machine.EmulationResult` data on disk,
-keyed by a hash of the generated code, so a profile is computed once per
-compiled program ever.
+memoises :class:`~repro.emulator.machine.EmulationResult` data as
+``emulation`` entries of the artefact store, keyed by a hash of the
+compiled program, so a profile is computed once per compiled program
+ever.
 """
 
 import hashlib
-import json
 import os
 
-from repro.atomicio import FileLock, atomic_write_json
 from repro.benchmarks.programs import PROGRAMS, TABLE_BENCHMARKS
 from repro.bam import compile_source
 from repro.intcode import translate_module
@@ -33,12 +32,20 @@ def cache_dir():
 
 
 def program_fingerprint(program):
-    """Stable hash of a compiled ICI program."""
+    """Stable hash of a compiled ICI program: instructions, labels and
+    the symbol table (``write(foo)`` and ``write(bar)`` compile to the
+    same instructions; only the atom names differ)."""
     digest = hashlib.sha256()
     for instruction in program.instructions:
         digest.update(repr(instruction).encode())
     for name in sorted(program.labels):
         digest.update(("%s=%d" % (name, program.labels[name])).encode())
+    symbols = program.symbols
+    for index in range(symbols.atom_count):
+        digest.update(("atom %r" % symbols.atom_name(index)).encode())
+    for index in range(symbols.functor_count):
+        digest.update(("functor %r" % (symbols.functor_key(index),))
+                      .encode())
     return digest.hexdigest()[:24]
 
 
@@ -78,48 +85,33 @@ def compile_benchmark(name):
 
 
 def run_program_cached(program, key_hint="", backend=None):
-    """Emulate *program*, consulting the on-disk profile cache first.
-
-    Both emulator backends produce bit-identical profiles, but the
-    payload records which backend actually produced it
-    (``EmulationResult.backend``) and callers rely on that provenance —
-    the bench document's ``backend`` field must reflect the backend the
-    run was asked for.  A hit whose recorded backend differs from the
-    resolved request is therefore recomputed (and republished) under
-    the requested backend rather than served as-is.
+    """Emulate *program*, memoised as an ``emulation`` entry of the
+    :func:`~repro.evaluation.cache.current_store` keyed on fingerprint
+    and requested backend.  *key_hint* only labels the span of a miss.
+    The payload records the backend that produced it (codegen may have
+    fallen back to the reference loop).
     """
+    from repro.evaluation.cache import current_store, using_store
+    from repro.evaluation.parallel import artefact_key
     wanted = resolve_backend(backend)
-    key = key_hint + program_fingerprint(program)
-    path = os.path.join(cache_dir(), key + ".json")
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            cached_backend = data.get("backend", "reference")
-            if cached_backend == wanted:
-                observe.add("profile_cache.hits")
-                return EmulationResult(program, data["status"],
-                                       data["steps"], data["output"],
-                                       data["counts"], data["taken"],
-                                       backend=cached_backend)
-            observe.add("profile_cache.backend_mismatches")
-        except (ValueError, KeyError):
-            os.remove(path)
-    observe.add("profile_cache.misses")
-    with observe.span("pipeline.profile", backend=wanted) as sp:
+    store = current_store()
+    key = artefact_key(store, "emulation", {
+        "fingerprint": program_fingerprint(program), "backend": wanted})
+    data = store.get(key)
+    if data is not None:
+        return EmulationResult(program, data["status"], data["steps"],
+                               data["output"], data["counts"],
+                               data["taken"], backend=data["backend"])
+    with observe.span("pipeline.profile", backend=wanted,
+                      hint=key_hint) as sp, using_store(store):
         # cached-profile producers are exactly the programs worth
         # keeping compiled codegen artefacts for (sweeps re-run them)
         result = run_program(program, backend=wanted,
                              persist_artifacts=True)
         sp.set(steps=result.steps, status=result.status)
-    # Crash-safe publish: parallel evaluation workers (and concurrent
-    # CLI runs) may race on the same profile; a reader must never see
-    # a torn file, and a kill mid-write must never leave one.
-    with FileLock(os.path.join(os.path.dirname(path), ".lock")):
-        atomic_write_json(
-            path, {"status": result.status, "steps": result.steps,
-                   "output": result.output, "counts": result.counts,
-                   "taken": result.taken, "backend": result.backend})
+    store.put(key, {"status": result.status, "steps": result.steps,
+                    "output": result.output, "counts": result.counts,
+                    "taken": result.taken, "backend": result.backend})
     return result
 
 

@@ -44,7 +44,7 @@ import sys
 
 from repro.bam import compile_source, CompilerOptions
 from repro.intcode import translate_module, optimize_program
-from repro.emulator import run_program
+from repro.emulator import BACKENDS, run_program
 from repro.compaction import (
     sequential, bam_like, vliw, ideal, symbol3)
 from repro.intcode.ici import OP_CLASS, MEM, ALU, MOVE, CTRL
@@ -985,7 +985,7 @@ def build_parser():
                    help="time only the two cheapest benchmarks (the "
                         "CI smoke subset)")
     p.add_argument("--backend", action="append", metavar="NAME",
-                   choices=("reference", "threaded", "codegen"),
+                   choices=BACKENDS,
                    help="emulator backend to time (repeatable; "
                         "default: all backends)")
     p.add_argument("--repeat", type=int, default=3, metavar="N",

@@ -27,6 +27,11 @@ layer (:mod:`repro.serve`) can scale it:
     the service all open their store through it, so a deployment picks
     its backend with one environment variable.
 
+:func:`current_store` / :func:`using_store`
+    The engine and :func:`~repro.evaluation.parallel.memoised` make
+    their store current while they compute, so nested profile and
+    codegen lookups share its counters and re-entrant slot locks.
+
 Robustness invariants shared by both backends:
 
 * Reads are optimistic and lock-free.  A corrupt or checksum-mismatched
@@ -43,9 +48,11 @@ Robustness invariants shared by both backends:
   the service's ``/metrics`` endpoint can reconcile them.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import threading
 import time
 import zlib
 
@@ -58,7 +65,9 @@ __all__ = [
     "CACHE_SCHEMA",
     "CacheStore",
     "ShardedCacheStore",
+    "current_store",
     "open_store",
+    "using_store",
 ]
 
 #: bump to invalidate every cached artefact (layout/format changes)
@@ -498,3 +507,24 @@ def open_store(root=None, shards=None):
     if shards is not None and shards > 1:
         return ShardedCacheStore(root, shards)
     return CacheStore(root)
+
+
+_current = threading.local()
+
+
+@contextlib.contextmanager
+def using_store(store):
+    """Make *store* this thread's :func:`current_store` for the block."""
+    stack = _current.__dict__.setdefault("stack", [])
+    stack.append(store)
+    try:
+        yield store
+    finally:
+        stack.pop()
+
+
+def current_store():
+    """The innermost :func:`using_store` store of this thread, else a
+    fresh :func:`open_store` (pool workers, plain library calls)."""
+    stack = getattr(_current, "stack", None)
+    return stack[-1] if stack else open_store()

@@ -64,7 +64,8 @@ from repro.benchmarks.suite import (
 from repro.emulator import resolve_backend
 # Re-exported for compatibility: the store grew into its own module.
 from repro.evaluation.cache import (        # noqa: F401
-    CACHE_SCHEMA, CacheStore, ShardedCacheStore, open_store)
+    CACHE_SCHEMA, CacheStore, ShardedCacheStore, current_store,
+    open_store, using_store)
 from repro.evaluation.supervisor import (
     EvaluationReport, Supervisor, SupervisorPolicy, kill_pool)
 from repro.observability import tracing as obs
@@ -78,6 +79,7 @@ __all__ = [
     "EvaluationReport",
     "ShardedCacheStore",
     "SupervisorPolicy",
+    "artefact_key",
     "code_version",
     "config_signature",
     "configure",
@@ -114,13 +116,12 @@ _PROFILE_FILES = (
     "intcode/runtime.py",
     "intcode/layout.py",
 )
-#: the threaded and codegen backends are implementation details with a
-#: bit-identical output contract, so editing them (or switching
-#: backends — the active backend is a key component of profile nodes)
-#: invalidates only profile artefacts: region layouts and cycle cells
-#: consume profile *data*, which every backend produces identically.
-_PROFILE_ONLY_FILES = _PROFILE_FILES + ("emulator/threaded.py",
-                                        "emulator/codegen.py")
+#: the codegen backend is an implementation detail with a bit-identical
+#: output contract, so editing it (or switching backends — the active
+#: backend is a key component of profile nodes) invalidates only
+#: profile artefacts: region layouts and cycle cells consume profile
+#: *data*, which both backends produce identically.
+_PROFILE_ONLY_FILES = _PROFILE_FILES + ("emulator/codegen.py",)
 _REGION_FILES = _PROFILE_FILES + (
     "compaction/transform.py",
     "analysis/cfg.py",
@@ -136,6 +137,9 @@ _CELL_FILES = _REGION_FILES + (
 )
 _COMPONENT_FILES = {
     "profile": _PROFILE_ONLY_FILES,
+    # whole emulation results (run_program_cached): per-pc counts,
+    # output and the producing backend of one compiled program
+    "emulation": _PROFILE_ONLY_FILES,
     "regions": _REGION_FILES,
     "cell": _CELL_FILES,
     # experiment-level cells (see the callers in repro.experiments)
@@ -146,8 +150,8 @@ _COMPONENT_FILES = {
     "static_ilp": _CELL_FILES,
     # the codegen backend's persisted compiled artefacts — keyed on the
     # generator + the decode/layout contract it bakes into the source
-    "codegen": ("emulator/machine.py", "emulator/threaded.py",
-                "emulator/codegen.py", "intcode/layout.py"),
+    "codegen": ("emulator/machine.py", "emulator/codegen.py",
+                "intcode/layout.py"),
     # whole-request results memoised by the evaluation service: they
     # wrap cell/verify/analyze outputs, so they depend on everything a
     # cell depends on plus the service's own result shaping
@@ -184,6 +188,12 @@ def code_version(kind):
     return version
 
 
+def artefact_key(store, kind, components):
+    """*store*'s key for a *kind* artefact of *components*, with the
+    kind's :func:`code_version` appended."""
+    return store.key(kind, dict(components, code=code_version(kind)))
+
+
 # --------------------------------------------------------------------------
 # Content-addressed memoisation (the store lives in evaluation.cache).
 
@@ -192,8 +202,10 @@ def memoised(kind, components, compute, store=None, use_cache=True):
 
     *components* identifies the inputs (fingerprints, parameters); the
     appropriate :func:`code_version` is appended automatically.  Safe
-    to call from pool workers — the store is re-opened from the
-    environment in each process.
+    to call from pool workers — without a *store* the
+    :func:`~repro.evaluation.cache.current_store` is used, re-opened
+    from the environment in each process.  *store* is current while
+    *compute* runs, so nested lookups share its counters and locks.
 
     A cold key is computed under the key's inter-process lock: two
     workers racing the same key no longer both compute and both write.
@@ -201,8 +213,8 @@ def memoised(kind, components, compute, store=None, use_cache=True):
     entry, and the dodged duplicate compute is counted as
     ``cache.races``.
     """
-    store = store or open_store()
-    key = store.key(kind, dict(components, code=code_version(kind)))
+    store = store or current_store()
+    key = artefact_key(store, kind, components)
     payload = store.get(key) if use_cache else None
     if payload is not None:
         return payload
@@ -213,7 +225,8 @@ def memoised(kind, components, compute, store=None, use_cache=True):
                 store.races += 1
                 obs.add("cache.races")
                 return payload
-        payload = compute()
+        with using_store(store):
+            payload = compute()
         store.put(key, payload)
     return payload
 
@@ -521,7 +534,8 @@ class EvaluationEngine:
         """
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
-            return [function(item) for item in items]
+            with using_store(self.store):
+                return [function(item) for item in items]
         label = getattr(function, "__name__", "call").strip("_")
         nodes = {}
         order = []
@@ -532,7 +546,8 @@ class EvaluationEngine:
                           "item": item}, None)
             nodes[node_id] = node
             order.append(node)
-        with obs.span("engine.map", items=len(order), label=label):
+        with obs.span("engine.map", items=len(order), label=label), \
+                using_store(self.store):
             self._supervisor(_map_pool_task, _map_inline).run(nodes)
         failures = [(node.label, node.error) for node in order
                     if node.failed]
@@ -550,8 +565,7 @@ class EvaluationEngine:
         return fingerprint
 
     def _intern(self, nodes, kind, label, spec, components, verify):
-        key = self.store.key(
-            kind, dict(components, code=code_version(kind)))
+        key = artefact_key(self.store, kind, components)
         node = nodes.get(key)
         if node is None:
             node = _Node(key, label, dict(spec, id=key), key)
@@ -651,7 +665,8 @@ class EvaluationEngine:
         # The supervisor picks serial (jobs=1) or pooled execution and
         # applies the resilience policy either way; _pool_task and
         # execute_task are resolved late so tests can monkeypatch them.
-        self._supervisor(_pool_task, execute_task).run(pending)
+        with using_store(self.store):
+            self._supervisor(_pool_task, execute_task).run(pending)
 
     def _topological(self, pending):
         order = []

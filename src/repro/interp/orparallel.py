@@ -406,16 +406,14 @@ def _parallel_answers(source, goal_text, parsed, branches, engine,
     """Fan the branch tasks out over the pool; reassemble in clause
     order.  Branch-scope memo entries serve warm branches without a
     dispatch; only the cold ones travel to the pool."""
-    from repro.evaluation.parallel import code_version
+    from repro.evaluation.parallel import artefact_key
     digest = program_digest(source)
     pattern = canonical_term(parsed)
-    code = code_version(MEMO_KIND)
     payloads = {}
     specs = []
     for index in branches:
-        key = store.key(MEMO_KIND, dict(
-            _memo_components(digest, pattern, limit, "branch", index),
-            code=code))
+        key = artefact_key(store, MEMO_KIND, _memo_components(
+            digest, pattern, limit, "branch", index))
         cached = store.get(key) if use_memo else None
         if cached is not None:
             payloads[index] = cached

@@ -464,3 +464,42 @@ def test_orparallel_kind_stats_reconcile_with_trace_counters(
                                + counters["orparallel.branch_memo"
                                           ".misses"])
     assert store.corrupt == 0
+
+
+# --------------------------------------------------------------------------
+# The profile (``emulation``) and ``codegen`` kinds live in the store too.
+
+def _non_lock_files(root):
+    found = []
+    for dirpath, _, names in os.walk(str(root)):
+        found.extend(os.path.join(dirpath, name) for name in names
+                     if not name.startswith(".lock"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("backend", ["plain", "sharded"])
+def test_cold_evaluation_leaves_only_store_entries(tmp_path, monkeypatch,
+                                                   backend):
+    """Every byte a cold evaluation writes is a store entry: usage()
+    accounts for all of it and gc(0) removes all of it."""
+    from repro.compaction import sequential, vliw
+    from repro.evaluation import parallel
+    from repro.evaluation.parallel import EvaluationEngine
+    root = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    monkeypatch.setattr(parallel, "_worker_programs", {})
+    monkeypatch.setattr(parallel, "_worker_regions", {})
+    store = CacheStore(str(root)) if backend == "plain" \
+        else ShardedCacheStore(str(root), shards=4)
+    with EvaluationEngine(jobs=1, store=store) as engine:
+        engine.evaluate("conc30", {"seq": (sequential(), "bb"),
+                                   "vliw3": (vliw(3), "trace")})
+    files = _non_lock_files(root)
+    kinds = {os.path.basename(path).split("-")[1] for path in files}
+    assert {"emulation", "codegen", "profile", "regions",
+            "cell"} <= kinds
+    assert store.usage()["bytes"] \
+        == sum(os.path.getsize(path) for path in files)
+    assert store.usage()["entries"] == len(files)
+    store.gc(0)
+    assert _non_lock_files(root) == []

@@ -55,11 +55,20 @@ def _policy(**overrides):
     return SupervisorPolicy(**values)
 
 
-def _artefacts(root):
-    """{filename: bytes} of the content-addressed artefacts in *root*."""
+#: the evaluation DAG's artefact kinds.  The ``emulation`` and
+#: ``codegen`` entries a profile task looks up on its way are only
+#: rewritten when a profile is recomputed, so a warm confirming pass
+#: cannot restore one a fault destroyed: those are checked for
+#: integrity (``ALL_KINDS``), not byte-compared against golden.
+DAG_KINDS = ("cas-profile-", "cas-regions-", "cas-cell-")
+ALL_KINDS = ("cas-",)
+
+
+def _artefacts(root, kinds=DAG_KINDS):
+    """{filename: bytes} of the *kinds* artefacts in *root*."""
     return {name: open(os.path.join(str(root), name), "rb").read()
             for name in sorted(os.listdir(str(root)))
-            if name.startswith("cas-") and name.endswith(".json")}
+            if name.startswith(kinds) and name.endswith(".json")}
 
 
 def _evaluate(cache_root, jobs, policy):
@@ -200,7 +209,7 @@ def test_torn_write_never_leaves_a_bad_artefact(monkeypatch, tmp_path,
     assert data == golden["data"]
     # Every artefact that was published parses and passes its checksum.
     store = CacheStore(root=str(cache))
-    for name, content in _artefacts(cache).items():
+    for name, content in _artefacts(cache, ALL_KINDS).items():
         entry = json.loads(content)
         assert store.get(entry["key"]) == entry["payload"]
     _confirm(cache, golden)

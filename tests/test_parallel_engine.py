@@ -22,6 +22,21 @@ BENCHMARKS = ["conc30", "divide10"]
 #: one benchmark under these configs = profile + 2 region sets + 2 cells
 NODES = 5
 
+#: the DAG's own artefact kinds.  Tasks run in-process look up their
+#: emulation results and codegen artefacts in the engine's store too,
+#: so the store's totals also count those nested lookups.
+DAG_KINDS = ("profile", "regions", "cell")
+
+
+def _node_stats(store):
+    """The store's hit/miss/corrupt counts over the DAG kinds only."""
+    kinds = store.kind_stats()
+    stats = {outcome: sum(kinds.get(kind, {}).get(outcome, 0)
+                          for kind in DAG_KINDS)
+             for outcome in ("hits", "misses")}
+    stats["corrupt"] = store.corrupt
+    return stats
+
 
 def _configs():
     return {"seq": (sequential(), "bb"), "vliw3": (vliw(3), "trace")}
@@ -96,7 +111,18 @@ def test_warm_run_equals_cold_without_recomputation(monkeypatch, tmp_path):
 
 def test_cold_run_counts_every_node_as_a_miss(monkeypatch, tmp_path):
     _, store = _run(monkeypatch, tmp_path)
-    assert store.stats() == {"hits": 0, "misses": NODES, "corrupt": 0}
+    assert _node_stats(store) == {"hits": 0, "misses": NODES,
+                                  "corrupt": 0}
+    # ...plus one emulation and one codegen miss for the program and
+    # for its superblock transform, and nothing else.
+    assert store.kind_stats() == {
+        "profile": {"hits": 0, "misses": 1},
+        "regions": {"hits": 0, "misses": 2},
+        "cell": {"hits": 0, "misses": 2},
+        "emulation": {"hits": 0, "misses": 2},
+        "codegen": {"hits": 0, "misses": 2}}
+    assert store.stats() == {"hits": 0, "misses": NODES + 4,
+                             "corrupt": 0}
 
 
 # --------------------------------------------------------------------------
@@ -108,7 +134,7 @@ def test_tail_dup_budget_invalidates_only_trace_artefacts(
     _, store = _run(monkeypatch, tmp_path, budget=32)
     # profile, bb regions and the bb cell survive; the trace region set
     # and its cell are recomputed.
-    assert store.stats() == {"hits": 3, "misses": 2, "corrupt": 0}
+    assert _node_stats(store) == {"hits": 3, "misses": 2, "corrupt": 0}
 
 
 def test_machine_config_mutation_invalidates_one_cell(
@@ -118,7 +144,7 @@ def test_machine_config_mutation_invalidates_one_cell(
     mutated.mem_ports += 1
     configs = {"seq": (sequential(), "bb"), "vliw3": (mutated, "trace")}
     _, store = _run(monkeypatch, tmp_path, configs=configs)
-    assert store.stats() == {"hits": 4, "misses": 1, "corrupt": 0}
+    assert _node_stats(store) == {"hits": 4, "misses": 1, "corrupt": 0}
 
 
 def test_program_fingerprint_mutation_invalidates_everything(
@@ -132,7 +158,8 @@ def test_program_fingerprint_mutation_invalidates_everything(
                          + "\nunused_cache_probe(cache_probe).\n",
                          in_table1=original.in_table1))
     _, store = _run(monkeypatch, tmp_path)
-    assert store.stats() == {"hits": 0, "misses": NODES, "corrupt": 0}
+    assert _node_stats(store) == {"hits": 0, "misses": NODES,
+                                  "corrupt": 0}
 
 
 def test_config_rename_keeps_the_cache_warm(monkeypatch, tmp_path):
@@ -148,7 +175,8 @@ def test_added_config_only_misses_its_own_cell(monkeypatch, tmp_path):
     _run(monkeypatch, tmp_path)
     configs = dict(_configs(), vliw2=(vliw(2), "trace"))
     _, store = _run(monkeypatch, tmp_path, configs=configs)
-    assert store.stats() == {"hits": NODES, "misses": 1, "corrupt": 0}
+    assert _node_stats(store) == {"hits": NODES, "misses": 1,
+                                  "corrupt": 0}
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +208,8 @@ def test_corrupt_entry_is_recomputed_and_repaired(
     cold, _ = _run(monkeypatch, tmp_path)
     victim = _damage(tmp_path, damage)
     warm, store = _run(monkeypatch, tmp_path)
-    assert store.stats() == {"hits": NODES - 1, "misses": 1, "corrupt": 1}
+    assert _node_stats(store) == {"hits": NODES - 1, "misses": 1,
+                                  "corrupt": 1}
     assert warm[0].data == cold[0].data
     # The damaged entry was rewritten and now round-trips cleanly.
     entry = json.load(open(os.path.join(str(tmp_path), victim)))
@@ -257,7 +286,7 @@ def test_cell_failure_reports_the_cell_and_keeps_the_rest(
     # Profile and region artefacts survived the failed sweep.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     _, store = _run(monkeypatch, tmp_path)
-    assert store.stats() == {"hits": 3, "misses": 2, "corrupt": 0}
+    assert _node_stats(store) == {"hits": 3, "misses": 2, "corrupt": 0}
 
 
 def _die(spec):  # module-level: must be picklable for the pool

@@ -1,13 +1,15 @@
-"""Benchmark suite driver: fingerprinting and the on-disk profile cache."""
+"""Benchmark suite driver: fingerprinting and the ``emulation`` kind of
+the artefact store (the profile cache)."""
 
 import json
 import os
 
-
 from repro.benchmarks.suite import (
     program_fingerprint, run_program_cached, cache_dir)
 from repro.bam import compile_source
+from repro.evaluation import parallel
 from repro.intcode import translate_module
+from repro.observability import tracing as observe
 
 
 def program_for(source):
@@ -16,6 +18,14 @@ def program_for(source):
 
 SOURCE_A = "main :- X = 1, write(X), nl."
 SOURCE_B = "main :- X = 2, write(X), nl."
+# Same instructions, different atom names: only the symbol table differs.
+SOURCE_FOO = "main :- write(foo), nl."
+SOURCE_BAR = "main :- write(bar), nl."
+
+
+def emulation_entries(root):
+    return sorted(path for path in root.iterdir()
+                  if path.name.startswith("cas-emulation-"))
 
 
 def test_fingerprint_stable_across_recompiles():
@@ -24,40 +34,81 @@ def test_fingerprint_stable_across_recompiles():
 
 
 def test_fingerprint_distinguishes_programs():
-    assert program_fingerprint(program_for(SOURCE_A)) != \
-        program_fingerprint(program_for(SOURCE_B))
+    for left, right in ((SOURCE_A, SOURCE_B), (SOURCE_FOO, SOURCE_BAR)):
+        assert program_fingerprint(program_for(left)) != \
+            program_fingerprint(program_for(right)), (left, right)
+
+
+def test_cached_output_follows_the_symbol_table(tmp_path, monkeypatch):
+    """Programs differing only in an atom name never share a profile,
+    whatever hint they are looked up under."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert run_program_cached(program_for(SOURCE_FOO), "prog-").output \
+        == "foo\n"
+    assert run_program_cached(program_for(SOURCE_BAR), "prog-").output \
+        == "bar\n"
 
 
 def test_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     program = program_for(SOURCE_A)
-    def entries():
-        # The writer's advisory .lock file is bookkeeping, and the
-        # codegen backend's compiled artefact (codegen-*.json) is its
-        # own cache kind — neither is a profile entry.
-        return sorted(p for p in tmp_path.iterdir()
-                      if p.suffix == ".json"
-                      and not p.name.startswith("codegen-"))
-
     first = run_program_cached(program, "t-")
-    files = entries()
+    files = emulation_entries(tmp_path)
     assert len(files) == 1
-    second = run_program_cached(program, "t-")
+    # the hint only labels the span of a miss: it is not in the key
+    with observe.activation(seed=0) as tracer:
+        second = run_program_cached(program, "other-")
+    assert tracer.metrics.count("emulator.runs") == 0
     assert second.output == first.output
     assert second.counts == first.counts
-    assert entries() == files  # no new entries
+    assert emulation_entries(tmp_path) == files  # no new entries
 
 
 def test_corrupt_cache_entry_recomputed(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     program = program_for(SOURCE_A)
     run_program_cached(program, "t-")
-    path = next(p for p in tmp_path.iterdir()
-                if p.name.startswith("t-"))
+    [path] = emulation_entries(tmp_path)
     path.write_text("{not json")
     result = run_program_cached(program, "t-")
     assert result.output == "1\n"
-    assert json.load(open(path))["output"] == "1\n"
+    assert json.load(open(path))["payload"]["output"] == "1\n"
+
+
+def test_profile_cache_records_backend(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    program = program_for(SOURCE_A)
+    result = run_program_cached(program, "hello-")
+    assert result.backend == "codegen"
+    [path] = emulation_entries(tmp_path)
+    assert json.load(open(path))["payload"]["backend"] == "codegen"
+    # A warm read reports the backend that produced the artefact.
+    cached = run_program_cached(program, "hello-")
+    assert cached.backend == "codegen"
+    assert cached.counts == result.counts
+
+
+def test_requested_backend_is_part_of_the_key(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    program = program_for(SOURCE_A)
+    reference = run_program_cached(program, "hello-", backend="reference")
+    compiled = run_program_cached(program, "hello-", backend="codegen")
+    assert (reference.backend, compiled.backend) == ("reference", "codegen")
+    assert compiled.counts == reference.counts
+    assert len(emulation_entries(tmp_path)) == 2
+    assert run_program_cached(program, "hello-",
+                              backend="reference").backend == "reference"
+
+
+def test_code_version_bump_recomputes(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    run_program_cached(program_for(SOURCE_A), "t-")
+    monkeypatch.setitem(parallel._code_versions, "emulation", "edited")
+    with observe.activation(seed=0) as tracer:
+        result = run_program_cached(program_for(SOURCE_A), "t-")
+    assert result.output == "1\n"
+    assert tracer.metrics.count("emulator.runs") == 1
+    assert len(emulation_entries(tmp_path)) == 2
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):
