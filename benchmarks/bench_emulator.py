@@ -29,9 +29,7 @@ def test_backend_throughput_reference(benchmark):
 
 def test_backend_throughput_codegen(benchmark):
     program = compile_benchmark("nreverse")
-    emulator = CodegenEmulator(program, persist=False)
-    emulator.run()          # warm: tier-2 recompile + template in place
-    emulator.run()
+    emulator = CodegenEmulator(program)
     result = benchmark(emulator.run)
     assert result.succeeded
     assert result.backend == "codegen"

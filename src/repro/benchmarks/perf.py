@@ -97,11 +97,9 @@ def time_backends(program, repeats=3, backends=None):
     """Best-of-*repeats* wall time per backend for one program.
 
     Returns ``(results, seconds)``: backend name -> EmulationResult and
-    backend name -> best wall-clock seconds for a full run.  The
-    codegen backend is warmed with one extra run before timing so the
-    tier-2 recompile (and the compiled template) are in place and the
-    timings reflect steady state — which is also what a cached-artefact
-    second evaluation observes.
+    backend name -> best wall-clock seconds for a full run.  Each
+    emulator is built (codegen compiles) and run once untimed, so the
+    timings are steady-state runs of the compiled code.
     """
     timed = _resolve_timed(backends)
     emulators = {}
@@ -111,8 +109,6 @@ def time_backends(program, repeats=3, backends=None):
         emulator = _RUNNERS[backend](program)
         emulators[backend] = emulator
         results[backend] = emulator.run()
-        if backend == "codegen":
-            emulator.run()
     for _ in range(repeats):
         for backend in timed:
             elapsed = timeit.timeit(emulators[backend].run, number=1)

@@ -88,10 +88,10 @@ def run_program_cached(program, key_hint="", backend=None):
     """Emulate *program*, memoised as an ``emulation`` entry of the
     :func:`~repro.evaluation.cache.current_store` keyed on fingerprint
     and requested backend.  *key_hint* only labels the span of a miss.
-    The payload records the backend that produced it (codegen may have
-    fallen back to the reference loop).
+    The payload records the backend that produced it (the codegen
+    route answers short runs on the reference loop).
     """
-    from repro.evaluation.cache import current_store, using_store
+    from repro.evaluation.cache import current_store
     from repro.evaluation.parallel import artefact_key
     wanted = resolve_backend(backend)
     store = current_store()
@@ -103,11 +103,8 @@ def run_program_cached(program, key_hint="", backend=None):
                                data["output"], data["counts"],
                                data["taken"], backend=data["backend"])
     with observe.span("pipeline.profile", backend=wanted,
-                      hint=key_hint) as sp, using_store(store):
-        # cached-profile producers are exactly the programs worth
-        # keeping compiled codegen artefacts for (sweeps re-run them)
-        result = run_program(program, backend=wanted,
-                             persist_artifacts=True)
+                      hint=key_hint) as sp:
+        result = run_program(program, backend=wanted)
         sp.set(steps=result.steps, status=result.status)
     store.put(key, {"status": result.status, "steps": result.steps,
                     "output": result.output, "counts": result.counts,

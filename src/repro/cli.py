@@ -906,6 +906,9 @@ def cmd_cache(args, out, err):
                   % (usage["root"], usage["entries"], usage["bytes"],
                      usage["shards"], usage["quarantined_files"],
                      usage["quarantined_bytes"]))
+        for kind, occupancy in usage["kinds"].items():
+            out.write("  %s: %d entr(ies), %d byte(s)\n"
+                      % (kind, occupancy["entries"], occupancy["bytes"]))
         return 0
     # gc: size-budgeted LRU eviction + quarantine purge
     result = store.gc(args.budget)

@@ -39,14 +39,11 @@ function and run through :func:`compile`, with
 * **a small trampoline** — inter-trace branches dispatch on a dense
   block id through a balanced comparison tree.
 
-Compilation is content-addressed: the generated module's code object
-and the path tables are persisted (``marshal`` + base64) as ``codegen``
-entries of the artefact store (:mod:`repro.evaluation.cache`), keyed on
-the program fingerprint, the codegen code version and the Python ABI,
-so a sweep re-run loads checksum-verified bytecode instead of
-recompiling.  Artefacts are only *written* when the caller opts in
-(``persist=True`` — the profile cache and the bench harness do); every
-construction still consults the store.
+Compilation happens in-process, once per :class:`Program` (memoised on
+it), and nothing is persisted: :func:`~repro.emulator.machine.run_program`
+only reaches this backend for runs that outlive its step budget on the
+reference loop, and a second evaluation of the same program is answered
+by the ``emulation`` store entry without running anything.
 
 The backend is *semantics-complete or honest*: anything it cannot
 compile becomes a bail-out, and any bail-out or machine fault at run
@@ -56,10 +53,6 @@ reproduces the exact result or the exact fault.  A program the
 generator declines outright runs on the reference loop too.  Equality
 with the reference loop is enforced by ``tests/test_fuzz_equivalence.py``.
 """
-
-import base64
-import marshal
-import sys
 
 from repro.terms import tags
 from repro.testing import faults
@@ -87,13 +80,6 @@ _CMP_OPERATOR = {_BEQ: "==", _BNE: "!=", _BLTV: "<", _BLEV: "<=",
 _ALU_OPERATOR = {_ADD: "+", _SUB: "-", _MUL: "*", _AND: "&", _OR: "|",
                  _XOR: "^", _SLL: "<<", _SRA: ">>"}
 
-#: how many times one block may repeat on a profiled (tier-2) trace.
-#: Unrolling short-trip cycles inline looked attractive, but >1
-#: explodes the path table (and with it source size and the per-run
-#: replay) faster than it saves trampoline rounds on every measured
-#: benchmark, so cycles stay cut at one pass.
-_REVISIT = 1
-
 #: how deep an arm inlines along its *primary* chain (fall-through,
 #: ``jmp``, ``call``, resolved ``jmpr``, and the statically likely side
 #: of each conditional: backward-taken / forward-not-taken)
@@ -106,16 +92,6 @@ _SIDE_DEPTH = 3
 #: hard cap on inlined blocks per arm (bounds generated-code growth
 #: even when side chains branch richly)
 _ARM_CAP = 80
-
-#: tier-2 depth/cap for arms the profiling run actually entered (cold
-#: sides are pruned to nothing, so hot chains can afford to go deeper)
-_HOT_DEPTH = 96
-_HOT_CAP = 160
-
-#: dynamic step count above which a clean first run triggers the
-#: profile-guided tier-2 recompile — short programs (fuzz one-shots)
-#: would pay more in compile time than they could ever win back
-_TIER2_STEPS = 10_000
 
 _TCOD_BITS = tags.TCOD << 1
 _INT_BITS = tags.TINT << 1
@@ -274,7 +250,7 @@ class _Path:
         #                         read or the end of the path
         self.blocks = blocks    # dense block ids crossed, in order
         self.takens = takens    # dense ids of conditionals exited taken
-        self.seen = seen        # block index -> visits (cycle cut)
+        self.seen = seen        # block indices on this path (cycle cut)
 
     def fork(self):
         return _Path(dict(self.value), dict(self.tag),
@@ -282,7 +258,7 @@ class _Path:
                       for reg, excluded in self.nottag.items()},
                      set(self.dirty),
                      list(self.blocks), list(self.takens),
-                     dict(self.seen))
+                     set(self.seen))
 
     def write(self, reg, value=None, tag=None):
         """Register *reg*'s word was assigned: retire or replace its
@@ -311,16 +287,13 @@ class _Path:
 class _ArmCompiler:
     """Emits the dispatch-arm bodies of the generated function."""
 
-    def __init__(self, code, spans, dense_of, index_of, fire=False,
-                 profile=None):
+    def __init__(self, code, spans, dense_of, index_of, fire=False):
         self.code = code
         self.n = len(code)
         self.spans = spans
         self.dense_of = dense_of    # block index -> dense dispatch id
         self.index_of = index_of    # start pc -> block index
         self.fire = fire
-        self.profile = profile      # (counts, taken, heads) prior run
-        self.cap = _ARM_CAP if profile is None else _HOT_CAP
         self.paths = []             # path id -> (blocks, takens)
         # blocks ending in halt are never inlined into another arm:
         # halting happens once per run, dispatching to it is free
@@ -434,17 +407,8 @@ class _ArmCompiler:
         self.arm_nodes = 0
         self.has_loop = False
         body = []
-        path = _Path({}, {}, {}, set(), [], [], {entry_index: 1})
-        if self.fire:
-            budget = 0
-        elif self.profile is not None:
-            # profile-guided retrace (tier 2): arms the first run never
-            # entered stay minimal, hot arms inline deeper — the saved
-            # code growth pays for the raised depth
-            start = self.spans[entry_index][0]
-            budget = _HOT_DEPTH if self.profile[0][start] else 0
-        else:
-            budget = _MAIN_DEPTH
+        path = _Path({}, {}, {}, set(), [], [], {entry_index})
+        budget = 0 if self.fire else _MAIN_DEPTH
         self._emit_block(entry_index, 0, path, budget, body)
         return body, self.has_loop
 
@@ -487,15 +451,13 @@ class _ArmCompiler:
             self._end_path(path, depth, body)
             body.append((depth, _LOOP))
             return
-        # cycles cut after _REVISIT passes: Prolog's hot loops (argument
-        # walks, short list spins) mostly trip once or twice, so a
-        # profiled trace unrolls them inline instead of paying a
-        # trampoline round every entry; tier 1 stays at one pass
-        revisits = _REVISIT if self.profile is not None else 1
-        if budget > 0 and self.arm_nodes < self.cap \
-                and path.seen.get(index, 0) < revisits \
+        # cycles are cut at one pass: unrolling them inline explodes
+        # the path table (and with it source size and the per-run
+        # replay) faster than it saves trampoline rounds
+        if budget > 0 and self.arm_nodes < _ARM_CAP \
+                and index not in path.seen \
                 and index not in self.halts:
-            path.seen[index] = path.seen.get(index, 0) + 1
+            path.seen.add(index)
             self._emit_block(index, depth, path, budget - 1, body)
             return
         body.append((depth, "block = %d" % self.dense_of[index]))
@@ -699,36 +661,13 @@ class _ArmCompiler:
             else:
                 body.append((depth, "raise Bail"))
             return
-        # runtime branch: inline deeper along the likely side.  With a
-        # profile (tier 2) "likely" is the observed majority side and a
-        # side never taken on the profiling run is not inlined at all;
-        # without one it is the paper's static heuristic
-        # (backward-taken / forward-not-taken).
-        executed = taken_count = 0
-        if self.profile is not None:
-            executed = self.profile[0][position]
-            taken_count = self.profile[1][position]
-        if executed:
-            taken_primary = 2 * taken_count >= executed
-        else:
-            taken_primary = ins[3] <= position
+        # runtime branch: inline deeper along the likely side, by the
+        # paper's static heuristic (backward-taken / forward-not-taken)
+        taken_primary = ins[3] <= position
         taken_budget = budget - 1 if taken_primary \
             else min(budget - 1, _SIDE_DEPTH)
         fall_budget = budget - 1 if not taken_primary \
             else min(budget - 1, _SIDE_DEPTH)
-        if executed:
-            # observed weights refine the static classification: a side
-            # carrying a real share of executions inlines at full
-            # depth even as the minority (search code branches both
-            # ways hot), a side never taken is not inlined at all
-            if 4 * taken_count >= executed:
-                taken_budget = budget - 1
-            elif not taken_count:
-                taken_budget = 0
-            if 4 * (executed - taken_count) >= executed:
-                fall_budget = budget - 1
-            elif taken_count == executed:
-                fall_budget = 0
         body.append((depth, "if %s:" % test))
         taken = path.fork()
         taken.takens.append(self.dense_of[index])
@@ -815,7 +754,7 @@ def _render_arm(lines, body, has_loop, depth):
         lines.append("    " * depth + "continue")
 
 
-def generate_source(program, fire=False, profile=None):
+def generate_source(program, fire=False):
     """The generated module source + dispatch metadata for *program*.
 
     Returns ``(source, blocks, jump, entry_dense, paths)`` where
@@ -827,12 +766,7 @@ def generate_source(program, fire=False, profile=None):
     exits taken (the post-run statistics replay).  With *fire* the
     ``emulator.codegen.block`` fault hook is compiled into every block
     prologue and inlining is disabled (chaos runs only — never
-    cached).  With *profile* — ``(counts, taken)`` per-pc statistics
-    from a prior run of the same program — tracing is profile-guided
-    (tier 2): primary branch sides come from the observed majority,
-    never-taken sides and never-entered arms are not inlined, and hot
-    chains inline deeper, which turns hot cycles into real Python
-    loops instead of dispatcher round-trips.
+    memoised).
     """
     code, reg_index = decode(program)
     spans = basic_blocks(program)
@@ -841,18 +775,6 @@ def generate_source(program, fire=False, profile=None):
         compiled = list(range(len(spans)))
     else:
         compiled = sorted(reachable)
-    heads = None
-    if profile is not None:
-        # dense ids ordered by observed *dispatch* count (how often
-        # the tier-1 trampoline actually entered each arm — inlined
-        # entries never dispatch): the weighted dispatch tree splits
-        # contiguous id ranges, so clustering the hot arms at low ids
-        # puts them a couple of comparisons deep
-        heads = profile[2] if len(profile) > 2 else {}
-        compiled.sort(
-            key=lambda index: (-heads.get(spans[index][0],
-                                          profile[0][spans[index][0]]),
-                               index))
     dense_of = {index: dense for dense, index in enumerate(compiled)}
     index_of = {start: index
                 for index, (start, _end) in enumerate(spans)}
@@ -877,34 +799,18 @@ def generate_source(program, fire=False, profile=None):
     # zip-sum check at every halt catches runs that finish past it
     lines.append("    SPIN = range(limit + 1)")
     lines.append("    for _ in SPIN:")
-    compiler = _ArmCompiler(code, spans, dense_of, index_of, fire=fire,
-                            profile=profile)
-
-    # cumulative dispatch weights: without a profile the tree is
-    # balanced (uniform weights); with one it splits at the weighted
-    # median, so the hottest arms sit a couple of comparisons deep
-    # while cold arms absorb the longer compare chains
-    if profile is None:
-        prefix = list(range(len(blocks) + 1))
-    else:
-        prefix = [0]
-        for start, _end, _cond in blocks:
-            weight = heads.get(start, profile[0][start])
-            prefix.append(prefix[-1] + weight + 1)
+    compiler = _ArmCompiler(code, spans, dense_of, index_of, fire=fire)
 
     def emit_dispatch(lo, hi, depth):
-        # a comparison tree over dense ids [lo, hi); an id matching no
-        # leaf (the J table's -1 sentinel, a pruned block) falls out of
-        # the tree to the trampoline's final `raise Bail`
+        # a balanced comparison tree over dense ids [lo, hi); an id
+        # matching no leaf (the J table's -1 sentinel, a pruned block)
+        # falls out of the tree to the trampoline's final `raise Bail`
         if lo + 1 == hi:
             lines.append("    " * depth + "if block == %d:" % lo)
             body, has_loop = compiler.emit_arm(compiled[lo])
             _render_arm(lines, body, has_loop, depth + 1)
             return
-        half = (prefix[lo] + prefix[hi]) / 2.0
-        mid = lo + 1
-        while mid < hi - 1 and prefix[mid] < half:
-            mid += 1
+        mid = (lo + hi + 1) // 2
         lines.append("    " * depth + "if block < %d:" % mid)
         emit_dispatch(lo, mid, depth + 1)
         lines.append("    " * depth + "else:")
@@ -918,30 +824,21 @@ def generate_source(program, fire=False, profile=None):
 
 
 # --------------------------------------------------------------------------
-# Compilation + the ``codegen`` artefact kind.
+# Compilation.
 
 class _CodegenCode:
     """One program's compiled codegen backend (memoised on the Program)."""
 
-    __slots__ = ("run", "blocks", "jump", "entry", "n", "paths",
-                 "lengths", "fire", "from_cache", "tier", "template",
+    __slots__ = ("run", "blocks", "jump", "n", "paths", "lengths", "fire",
                  "pcs")
 
-    def __init__(self, run, blocks, jump, entry, n, paths, fire,
-                 from_cache, tier=1):
+    def __init__(self, run, blocks, jump, n, paths, fire):
         self.run = run          # the generated _run function
         self.blocks = blocks    # per dense id: (start, end, cond_pc)
         self.jump = jump        # pc -> dense id (or -1): jmpr table
-        self.entry = entry      # initial dispatch id (baked in _run)
         self.n = n              # program length in instructions
         self.paths = paths      # path id -> (dense blocks, dense takens)
         self.fire = fire        # compiled with the fault hook armed
-        self.from_cache = from_cache
-        self.tier = tier        # 1 = static heuristics, 2 = profiled
-        # written-address template from the first clean run: rerunning
-        # the same deterministic program can pre-size its memory dict
-        # (None marks cells the run writes before it ever reads them)
-        self.template = None
         # lazily flattened (pcs, taken_pcs) per path, for the replay
         self.pcs = [None] * len(paths)
         self.lengths = tuple(
@@ -950,136 +847,48 @@ class _CodegenCode:
             for path_blocks, _takens in paths)
 
 
-def _environment_key():
-    """The Python ABI the persisted bytecode is only valid under."""
-    return "%s-%d.%d-m%d" % (sys.implementation.name,
-                             sys.version_info[0], sys.version_info[1],
-                             marshal.version)
-
-
-def _artifact_payload(module, compiled):
-    """The ``codegen`` store entry for a fresh compile: the marshalled
-    module plus the dispatch and path tables the replay needs."""
-    return {
-        "tier": compiled.tier,
-        "entry": compiled.entry,
-        "n": compiled.n,
-        "blocks": [list(block) for block in compiled.blocks],
-        "jump": compiled.jump,
-        "paths": [[list(path_blocks), list(takens)]
-                  for path_blocks, takens in compiled.paths],
-        "code": base64.b64encode(marshal.dumps(module)).decode("ascii"),
-    }
-
-
-def _from_payload(payload):
-    """The ``_CodegenCode`` of a checksum-verified store entry."""
-    namespace = {}
-    exec(marshal.loads(base64.b64decode(payload["code"])), namespace)
-    return _CodegenCode(
-        namespace["_run"],
-        [tuple(block) for block in payload["blocks"]],
-        payload["jump"], payload["entry"], payload["n"],
-        [(tuple(path_blocks), tuple(takens))
-         for path_blocks, takens in payload["paths"]],
-        fire=False, from_cache=True, tier=payload["tier"])
-
-
 #: sentinel memoising "the generator declined" on the Program
 _DECLINED = object()
 
 
-def codegen_code(program, persist=True):
+def codegen_code(program):
     """Compile *program* for the codegen backend, or None when the
     generator declines (the reference loop then runs instead).
 
-    Memoised on the Program and backed by the artefact store's
-    ``codegen`` kind; *persist* gates the store *write* (reads always
-    happen), so one-shot fuzz programs do not litter the store.  A
-    compile under an armed ``emulator.codegen.block`` fault is neither
-    memoised nor persisted — the hook must not leak into clean runs.
+    Memoised on the Program.  A compile under an armed
+    ``emulator.codegen.block`` fault is not memoised — the hook must
+    not leak into clean runs.
     """
     from repro.observability import tracing as observe
     fire = faults.armed(FAULT_SITE)
     cached = getattr(program, "_codegen", None)
     if cached is not None and not fire:
         return cached if cached is not _DECLINED else None
-    with observe.span("codegen.compile") as span:
-        compiled = _compile(program, persist, fire, span)
+    with observe.span("codegen.compile", fire=fire) as span:
+        compiled = _compile(program, fire, span)
     if not fire:
         program._codegen = compiled if compiled is not None \
             else _DECLINED
     return compiled
 
 
-def _compile(program, persist, fire, span, profile=None):
-    from repro.benchmarks.suite import program_fingerprint
-    from repro.evaluation.cache import current_store
-    from repro.evaluation.parallel import artefact_key
+def _compile(program, fire, span):
     from repro.observability import tracing as observe
-    tier = 1 if profile is None else 2
-    fingerprint = program_fingerprint(program)
-    span.set(fingerprint=fingerprint, fire=fire, tier=tier)
-    store = current_store()
-    key = artefact_key(store, "codegen", {
-        "fingerprint": fingerprint, "environment": _environment_key()})
-    if not fire and profile is None:
-        try:
-            payload = store.get(key)
-        except OSError:
-            payload = None   # unreadable cache dir: compile in-process
-        if payload is not None:
-            compiled = _from_payload(payload)
-            observe.add("codegen.cache.hits")
-            span.set(cached=True, blocks=len(compiled.blocks),
-                     tier=compiled.tier)
-            return compiled
-        observe.add("codegen.cache.misses")
     try:
-        source, blocks, jump, entry, paths = generate_source(
-            program, fire=fire, profile=profile)
-        module = compile(source, "<codegen:%s>" % program.entry, "exec")
+        source, blocks, jump, _entry, paths = generate_source(
+            program, fire=fire)
         namespace = {}
-        exec(module, namespace)
+        exec(compile(source, "<codegen:%s>" % program.entry, "exec"),
+             namespace)
     except (SyntaxError, RecursionError, MemoryError, ValueError):
         # a program shape the generator cannot express (e.g. dispatch
         # nesting past the parser limit): decline, run the reference
         observe.add("emulator.codegen.compile_declined")
         span.set(declined=True)
         return None
-    compiled = _CodegenCode(namespace["_run"], blocks, jump, entry,
-                            len(decode(program)[0]), paths, fire=fire,
-                            from_cache=False, tier=tier)
-    span.set(cached=False, blocks=len(blocks))
-    if persist and not fire:
-        try:
-            store.put(key, _artifact_payload(module, compiled))
-            observe.add("codegen.cache.writes")
-        except OSError:
-            pass             # cache write failure never fails the run
-    return compiled
-
-
-def _recompile_tier2(program, result, persist, heads=None):
-    """Profile-guided recompilation after the first clean run.
-
-    The replayed per-pc statistics of *result* (bit-identical to the
-    reference loop's, so tier selection can never change observable
-    behaviour) seed a retrace with real branch weights; the optimised
-    code replaces the tier-1 memo and — when persisting — overwrites
-    the cache artefact, so the *next* evaluation of this program loads
-    the profiled build directly.  Returns None when the generator
-    declines (the tier-1 code simply stays in place).
-    """
-    from repro.observability import tracing as observe
-    profile = (result.counts, result.taken, heads or {})
-    with observe.span("codegen.compile") as span:
-        compiled = _compile(program, persist, False, span,
-                            profile=profile)
-    if compiled is not None:
-        observe.add("codegen.tier2.compiles")
-        program._codegen = compiled
-    return compiled
+    span.set(blocks=len(blocks))
+    return _CodegenCode(namespace["_run"], blocks, jump,
+                        len(decode(program)[0]), paths, fire)
 
 
 # --------------------------------------------------------------------------
@@ -1089,12 +898,11 @@ class CodegenEmulator:
     """Drop-in twin of :class:`~repro.emulator.machine.Emulator` running
     the compiled-function backend."""
 
-    def __init__(self, program, max_steps=500_000_000, persist=True):
+    def __init__(self, program, max_steps=500_000_000):
         self.program = program
         self.max_steps = max_steps
-        self.persist = persist
         self.code, self.reg_index = decode(program)
-        self.compiled = codegen_code(program, persist=persist)
+        self.compiled = codegen_code(program)
 
     def _fallback(self):
         """Re-run on the reference loop (deterministic programs: exact
@@ -1109,16 +917,7 @@ class CodegenEmulator:
             return self._fallback()
         program = self.program
         regs = initial_registers(program, self.reg_index)
-        # a prior clean run of this compiled code leaves the exact set
-        # of addresses the (deterministic) program touches: pre-sizing
-        # the memory dict makes every store an in-place update instead
-        # of a growing insert.  Cells the run writes before reading
-        # hold None, which no deterministic re-run can observe — any
-        # impossible read raises and falls back honestly.
-        if compiled.template is not None:
-            mem = dict(compiled.template)
-        else:
-            mem = initial_memory(program)
+        mem = initial_memory(program)
         P = [0] * len(compiled.paths)
         out = []
         symbols = program.symbols
@@ -1163,31 +962,8 @@ class CodegenEmulator:
             # ran to completion but past the limit: the reference loop
             # would have faulted mid-run, so reproduce that exactly
             return self._fallback()
-        result = EmulationResult(program, status, steps, "".join(out),
-                                 counts, taken, backend="codegen")
-        if not compiled.fire:
-            if compiled.template is None:
-                template = initial_memory(program)
-                for address in mem:
-                    if address not in template:
-                        template[address] = None
-                compiled.template = template
-            if compiled.tier == 1 and steps >= _TIER2_STEPS:
-                # trampoline pressure per arm: how often each path
-                # *head* actually dispatched (inlined entries never
-                # do) — this, not the raw entry count, is what the
-                # tier-2 dispatch tree should weight
-                heads = {}
-                for k, count in enumerate(P):
-                    if count:
-                        start = blocks[compiled.paths[k][0][0]][0]
-                        heads[start] = heads.get(start, 0) + count
-                upgraded = _recompile_tier2(program, result,
-                                            self.persist, heads)
-                if upgraded is not None:
-                    upgraded.template = compiled.template
-                    self.compiled = upgraded
-        return result
+        return EmulationResult(program, status, steps, "".join(out),
+                               counts, taken, backend="codegen")
 
 
 def _fire_hook():

@@ -10,9 +10,10 @@ The emulator is a straight interpreter loop over pre-decoded instruction
 tuples; correctness and statistics, not speed, are its contract.  The
 fast path is the codegen backend in :mod:`repro.emulator.codegen` (the
 whole program compiled to one Python function, registers as locals),
-which must stay bit-identical to this loop — :func:`run_program`
+which must stay bit-identical to this loop.  :func:`run_program`
 selects between the two (``REPRO_EMULATOR_BACKEND``, default
-``codegen``).
+``codegen``); its ``codegen`` route runs this loop first and compiles
+only programs that outlive :data:`_COMPILE_AFTER_STEPS`.
 """
 
 import os
@@ -23,6 +24,16 @@ from repro.intcode import layout
 
 _BACKEND_ENV = "REPRO_EMULATOR_BACKEND"
 BACKENDS = ("codegen", "reference")
+
+#: steps the ``codegen`` route spends on the reference loop before it
+#: compiles.  Compiling costs a fixed 0.1-0.5 s that only long runs win
+#: back: from cold, sendmore (1.06 M steps) is about break-even and tak
+#: (4.95 M steps) is several times faster compiled.  A run just past
+#: the budget pays for it twice, so the budget sits well above
+#: break-even.
+_COMPILE_AFTER_STEPS = 2_000_000
+
+_STEP_LIMIT = "step limit exceeded (%d)"
 
 
 def resolve_backend(backend=None):
@@ -212,7 +223,7 @@ class Emulator:
                 counts[pc] += 1
                 steps += 1
                 if steps > limit:
-                    raise EmulatorError("step limit exceeded (%d)" % limit)
+                    raise EmulatorError(_STEP_LIMIT % limit)
                 op = ins[0]
                 if op == _LD:
                     regs[ins[1]] = mem[(regs[ins[2]] >> 4) + ins[3]]
@@ -377,20 +388,22 @@ def _reify(mem, symbols, word, seen, depth=0):
     return Atom("<%s>" % tags.describe(word))
 
 
-def run_program(program, max_steps=500_000_000, backend=None,
-                persist_artifacts=False):
+def run_program(program, max_steps=500_000_000, backend=None):
     """Emulate *program* on the selected backend and return the result.
 
-    *backend* is ``"codegen"`` (the whole program compiled to one
-    Python function, the default) or ``"reference"`` (the interpreter
-    loop above); when None the ``REPRO_EMULATOR_BACKEND`` environment
-    variable decides.  Both produce bit-identical
-    :class:`EmulationResult` data; codegen falls back to the reference
-    loop on any construct or fault it cannot handle exactly.
+    *backend* is ``"codegen"`` (the default) or ``"reference"`` (the
+    interpreter loop above); when None the ``REPRO_EMULATOR_BACKEND``
+    environment variable decides.  Both produce bit-identical
+    :class:`EmulationResult` data, and ``result.backend`` names the
+    loop that produced it.
 
-    *persist_artifacts* lets the codegen backend publish its compiled
-    artefact to the artefact store (the profile cache and the bench
-    harness opt in; one-shot runs default to consult-only).
+    The ``codegen`` route runs the reference loop for up to
+    :data:`_COMPILE_AFTER_STEPS` steps first: a run that finishes (or
+    faults) inside that budget is the answer.  Only a run that is
+    still going at the budget restarts from the beginning on
+    :class:`~repro.emulator.codegen.CodegenEmulator`, which itself
+    falls back to the reference loop on anything it cannot handle
+    exactly.
     """
     from repro.testing import faults
     from repro.observability import tracing as observe
@@ -408,18 +421,29 @@ def run_program(program, max_steps=500_000_000, backend=None,
         if name == "reference":
             result = Emulator(program, max_steps=max_steps).run()
         else:
-            from repro.emulator.codegen import CodegenEmulator
-            result = CodegenEmulator(program, max_steps=max_steps,
-                                     persist=persist_artifacts).run()
+            result = _run_codegen_route(program, max_steps)
     except BaseException as error:
         if tracer is not None:
             tracer.close(span, error=error)
         raise
     if tracer is not None:
-        # codegen may have fallen back to the reference loop; the span
-        # records the backend that actually produced the result
+        # the codegen route may have answered on the reference loop; the
+        # span records the backend that actually produced the result
         tracer.close(span.set(steps=result.steps, status=result.status,
                               backend=result.backend))
         tracer.metrics.add("emulator.runs")
         tracer.metrics.add("emulator.steps", result.steps)
     return result
+
+
+def _run_codegen_route(program, max_steps):
+    """The ``codegen`` route: reference loop up to the compile budget,
+    the compiled backend from the start for longer runs."""
+    budget = min(max_steps, _COMPILE_AFTER_STEPS)
+    try:
+        return Emulator(program, max_steps=budget).run()
+    except EmulatorError as error:
+        if max_steps <= budget or str(error) != _STEP_LIMIT % budget:
+            raise
+    from repro.emulator.codegen import CodegenEmulator
+    return CodegenEmulator(program, max_steps=max_steps).run()

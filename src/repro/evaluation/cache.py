@@ -29,8 +29,8 @@ layer (:mod:`repro.serve`) can scale it:
 
 :func:`current_store` / :func:`using_store`
     The engine and :func:`~repro.evaluation.parallel.memoised` make
-    their store current while they compute, so nested profile and
-    codegen lookups share its counters and re-entrant slot locks.
+    their store current while they compute, so nested profile lookups
+    share its counters and re-entrant slot locks.
 
 Robustness invariants shared by both backends:
 
@@ -328,8 +328,16 @@ class CacheStore:
         return [os.path.join(directory, name) for name in names]
 
     def usage(self):
-        """Occupancy summary for ``repro cache stats``."""
+        """Occupancy summary for ``repro cache stats``; ``kinds`` maps
+        each artefact kind to its entry count and bytes."""
         entries = self.entries()
+        kinds = {}
+        for path, size, _ in entries:
+            # cas-<kind>-<keyhash>.json
+            kind = os.path.basename(path)[len("cas-"):].rsplit("-", 1)[0]
+            occupancy = kinds.setdefault(kind, {"entries": 0, "bytes": 0})
+            occupancy["entries"] += 1
+            occupancy["bytes"] += size
         quarantine = self._quarantine_files()
         quarantine_bytes = 0
         for path in quarantine:
@@ -344,6 +352,7 @@ class CacheStore:
             "bytes": sum(size for _, size, _ in entries),
             "quarantined_files": len(quarantine),
             "quarantined_bytes": quarantine_bytes,
+            "kinds": dict(sorted(kinds.items())),
         }
 
     def gc(self, budget_bytes):

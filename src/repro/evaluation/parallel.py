@@ -148,10 +148,6 @@ _COMPONENT_FILES = {
     "wam": _CELL_FILES,
     # the static dataflow-limit bound (repro.experiments.static_ilp)
     "static_ilp": _CELL_FILES,
-    # the codegen backend's persisted compiled artefacts — keyed on the
-    # generator + the decode/layout contract it bakes into the source
-    "codegen": ("emulator/machine.py", "emulator/codegen.py",
-                "intcode/layout.py"),
     # whole-request results memoised by the evaluation service: they
     # wrap cell/verify/analyze outputs, so they depend on everything a
     # cell depends on plus the service's own result shaping

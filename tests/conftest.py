@@ -24,14 +24,24 @@ import pytest
 from repro.analysis import lint_program, format_diagnostics
 from repro.bam import compile_source
 from repro.intcode import translate_module
-from repro.emulator import run_program
+from repro.emulator import CodegenEmulator, run_program
 from repro.interp import Engine
 
 
 def compile_and_run(source, entry=("main", 0), max_steps=50_000_000):
-    """Compile Prolog source and emulate it."""
+    """Compile Prolog source and emulate it.
+
+    Test programs are short enough that ``run_program`` answers them on
+    the reference loop, so the compiled backend is run on them too and
+    held to that result field for field.
+    """
     program = translate_module(compile_source(source, entry))
-    return run_program(program, max_steps=max_steps)
+    result = run_program(program, max_steps=max_steps)
+    compiled = CodegenEmulator(program, max_steps=max_steps).run()
+    for field in ("status", "steps", "output", "counts", "taken"):
+        assert getattr(compiled, field) == getattr(result, field), (
+            "codegen differs from the reference loop on %s" % field)
+    return result
 
 
 def interpret(source, query="main"):

@@ -216,12 +216,19 @@ def test_hit_refreshes_mtime_so_lru_spares_hot_entries(store):
 
 def test_usage_reports_entries_and_bytes(sharded):
     assert sharded.usage()["entries"] == 0
+    assert sharded.usage()["kinds"] == {}
     for n in range(3):
         sharded.put(sharded.key("cell", {"n": n}), {"n": n})
+    sharded.put(sharded.key("static_ilp", {"n": 0}), {"n": 0})
     usage = sharded.usage()
-    assert usage["entries"] == 3
+    assert usage["entries"] == 4
     assert usage["bytes"] > 0
     assert usage["shards"] == 4
+    assert sorted(usage["kinds"]) == ["cell", "static_ilp"]
+    assert usage["kinds"]["cell"]["entries"] == 3
+    assert usage["kinds"]["static_ilp"]["entries"] == 1
+    assert sum(kind["bytes"] for kind in usage["kinds"].values()) \
+        == usage["bytes"]
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +474,7 @@ def test_orparallel_kind_stats_reconcile_with_trace_counters(
 
 
 # --------------------------------------------------------------------------
-# The profile (``emulation``) and ``codegen`` kinds live in the store too.
+# The profile (``emulation``) kind lives in the store too.
 
 def _non_lock_files(root):
     found = []
@@ -496,8 +503,8 @@ def test_cold_evaluation_leaves_only_store_entries(tmp_path, monkeypatch,
                                    "vliw3": (vliw(3), "trace")})
     files = _non_lock_files(root)
     kinds = {os.path.basename(path).split("-")[1] for path in files}
-    assert {"emulation", "codegen", "profile", "regions",
-            "cell"} <= kinds
+    assert {"emulation", "profile", "regions", "cell"} <= kinds
+    assert set(store.usage()["kinds"]) == kinds
     assert store.usage()["bytes"] \
         == sum(os.path.getsize(path) for path in files)
     assert store.usage()["entries"] == len(files)

@@ -55,11 +55,11 @@ def _policy(**overrides):
     return SupervisorPolicy(**values)
 
 
-#: the evaluation DAG's artefact kinds.  The ``emulation`` and
-#: ``codegen`` entries a profile task looks up on its way are only
-#: rewritten when a profile is recomputed, so a warm confirming pass
-#: cannot restore one a fault destroyed: those are checked for
-#: integrity (``ALL_KINDS``), not byte-compared against golden.
+#: the evaluation DAG's artefact kinds.  The ``emulation`` entries a
+#: profile task looks up on its way are only rewritten when a profile
+#: is recomputed, so a warm confirming pass cannot restore one a fault
+#: destroyed: those are checked for integrity (``ALL_KINDS``), not
+#: byte-compared against golden.
 DAG_KINDS = ("cas-profile-", "cas-regions-", "cas-cell-")
 ALL_KINDS = ("cas-",)
 

@@ -269,8 +269,12 @@ def test_evaluate_profile_backend_follows_env_override(
         tmp_path, monkeypatch):
     """A warm cache written under one backend must not masquerade as
     the profile provenance of a sweep run under the other."""
+    from repro.emulator import machine
     from repro.evaluation import parallel
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    # every run of the codegen route compiles, so the provenance it
+    # records is codegen's own
+    monkeypatch.setattr(machine, "_COMPILE_AFTER_STEPS", 0)
     for backend in ("reference", "codegen", "reference"):
         monkeypatch.setenv("REPRO_EMULATOR_BACKEND", backend)
         monkeypatch.setattr(parallel, "_worker_programs", {})
@@ -359,6 +363,23 @@ def test_cache_stats_on_fresh_directory(tmp_path):
         ["cache", "stats", "--dir", str(tmp_path / "nothing")])
     assert status == 0, errors
     assert "0 entr" in text
+
+
+def test_cache_stats_lists_kinds_after_cold_evaluate(tmp_path,
+                                                      monkeypatch):
+    from repro.evaluation import parallel
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(parallel, "_worker_programs", {})
+    monkeypatch.setattr(parallel, "_worker_regions", {})
+    status, _text, errors = run_cli(
+        ["evaluate", "--jobs", "1", "--bench", "conc30"])
+    assert status == 0, errors
+    status, text, errors = run_cli(["cache", "stats"])
+    assert status == 0, errors
+    kinds = {line.split(":")[0].strip() for line in text.splitlines()
+             if line.startswith("  ")}
+    assert {"emulation", "profile", "regions", "cell"} <= kinds
+    assert "codegen" not in kinds
 
 
 def test_cache_gc_evicts_to_budget(tmp_path):

@@ -1,9 +1,6 @@
-"""The codegen emulator backend: selection, bit-identical statistics,
-profile-guided tiering, the ``codegen`` artefact kind, and the
-reference fallback."""
-
-import json
-import os
+"""The codegen emulator backend: selection, the step-budget hand-over
+from the reference loop, bit-identical statistics, and the reference
+fallback."""
 
 import pytest
 
@@ -13,6 +10,7 @@ from repro.emulator import (
     BACKENDS, CodegenEmulator, Emulator, EmulatorError, codegen_code,
     decode, resolve_backend, run_program)
 from repro.emulator import codegen as codegen_mod
+from repro.emulator import machine as machine_mod
 from repro.emulator.codegen import _TERMINATORS, basic_blocks
 from repro.observability import tracing as observe
 
@@ -36,7 +34,7 @@ main :- app([1,2,3], [4,5], R), write(R), nl.
 
 def assert_identical(program, **kwargs):
     reference = Emulator(program, **kwargs).run()
-    compiled = CodegenEmulator(program, persist=False, **kwargs).run()
+    compiled = CodegenEmulator(program, **kwargs).run()
     assert compiled.status == reference.status
     assert compiled.steps == reference.steps
     assert compiled.output == reference.output
@@ -81,9 +79,63 @@ def test_run_program_reports_backend():
         == "reference"
 
 
-def test_run_program_reports_codegen_backend():
+def test_run_program_reports_codegen_backend(monkeypatch):
+    monkeypatch.setattr(machine_mod, "_COMPILE_AFTER_STEPS", 0)
     program = compile_program(HELLO)
     assert run_program(program, backend="codegen").backend == "codegen"
+
+
+# -- the step-budget hand-over ---------------------------------------------
+
+def test_run_inside_budget_reports_reference():
+    program = compile_program(LOOP)
+    result = run_program(program, backend="codegen")
+    assert result.backend == "reference"
+    assert program._codegen is None     # nothing was compiled
+
+
+def test_run_past_budget_hands_over_to_codegen(monkeypatch):
+    monkeypatch.setattr(machine_mod, "_COMPILE_AFTER_STEPS", 100)
+    program = compile_program(LOOP)
+    expected = Emulator(program).run()
+    assert expected.steps > 100
+    result = run_program(program, backend="codegen")
+    assert result.backend == "codegen"
+    for field in ("status", "steps", "output", "counts", "taken"):
+        assert getattr(result, field) == getattr(expected, field), field
+
+
+def test_step_limit_past_budget_is_the_exact_reference_fault(
+        monkeypatch):
+    monkeypatch.setattr(machine_mod, "_COMPILE_AFTER_STEPS", 100)
+    program = compile_program(LOOP)
+    limit = Emulator(program).run().steps // 2
+    assert limit > 100
+    with pytest.raises(EmulatorError) as reference_error:
+        Emulator(program, max_steps=limit).run()
+    with pytest.raises(EmulatorError) as route_error:
+        run_program(program, max_steps=limit, backend="codegen")
+    assert str(route_error.value) == str(reference_error.value)
+
+
+@pytest.mark.parametrize("source, max_steps", [
+    ("main :- X is 1 // 0, write(X).", 500_000_000),
+    (LOOP, 100),
+], ids=["division-by-zero", "step-limit-below-budget"])
+def test_fault_inside_budget_never_compiles(monkeypatch, source,
+                                            max_steps):
+    """A division fault, or a step limit at or below the budget, is
+    the reference loop's own fault: nothing is compiled."""
+    def refuse(program):
+        raise AssertionError("compiled a run that faulted in budget")
+
+    monkeypatch.setattr(codegen_mod, "codegen_code", refuse)
+    program = compile_program(source)
+    with pytest.raises(EmulatorError) as reference_error:
+        Emulator(program, max_steps=max_steps).run()
+    with pytest.raises(EmulatorError) as route_error:
+        run_program(program, max_steps=max_steps, backend="codegen")
+    assert str(route_error.value) == str(reference_error.value)
 
 
 # -- program-level caches --------------------------------------------------
@@ -100,7 +152,7 @@ def test_emulators_share_one_decode():
     program = compile_program(LOOP)
     Emulator(program)
     first = program._decoded
-    CodegenEmulator(program, persist=False)
+    CodegenEmulator(program)
     assert program._decoded is first
 
 
@@ -162,7 +214,7 @@ def test_branch_probabilities_match():
 
 def test_identical_across_repeated_runs():
     program = compile_program(LOOP)
-    emulator = CodegenEmulator(program, persist=False)
+    emulator = CodegenEmulator(program)
     first = emulator.run()
     for _ in range(3):
         again = emulator.run()
@@ -174,8 +226,8 @@ def test_identical_across_repeated_runs():
 
 def test_codegen_code_memoised_on_program():
     program = compile_program(HELLO)
-    compiled = codegen_code(program, persist=False)
-    assert codegen_code(program, persist=False) is compiled
+    compiled = codegen_code(program)
+    assert codegen_code(program) is compiled
     assert program._codegen is compiled
 
 
@@ -184,36 +236,7 @@ def test_generated_source_shape():
     source = codegen_mod.generate_source(program)[0]
     assert source.startswith("def _run(")
     assert "SPIN = range(limit + 1)" in source
-    compiled = codegen_code(program, persist=False)
-    assert compiled.tier == 1
-    assert compiled.from_cache is False
-
-
-# -- profile-guided tier 2 -------------------------------------------------
-
-def test_tier2_recompile_stays_identical(monkeypatch):
-    monkeypatch.setattr(codegen_mod, "_TIER2_STEPS", 1)
-    program = compile_program(LOOP)
-    reference = Emulator(program).run()
-    emulator = CodegenEmulator(program, persist=False)
-    assert emulator.compiled.tier == 1
-    first = emulator.run()
-    # the first clean run's replayed profile seeds a recompile...
-    assert emulator.compiled.tier == 2
-    second = emulator.run()
-    for result in (first, second):
-        assert result.status == reference.status
-        assert result.steps == reference.steps
-        assert result.output == reference.output
-        assert result.counts == reference.counts
-        assert result.taken == reference.taken
-
-
-def test_tier2_counter(monkeypatch):
-    monkeypatch.setattr(codegen_mod, "_TIER2_STEPS", 1)
-    with observe.activation(seed=0) as tracer:
-        CodegenEmulator(compile_program(LOOP), persist=False).run()
-    assert tracer.metrics.count("codegen.tier2.compiles") == 1
+    assert callable(codegen_code(program).run)
 
 
 # -- the reference fallback ------------------------------------------------
@@ -225,14 +248,14 @@ def test_step_limit_falls_back_to_exact_fault():
     with pytest.raises(EmulatorError) as reference_error:
         Emulator(program, max_steps=limit).run()
     with pytest.raises(EmulatorError) as codegen_error:
-        CodegenEmulator(program, max_steps=limit, persist=False).run()
+        CodegenEmulator(program, max_steps=limit).run()
     assert str(codegen_error.value) == str(reference_error.value)
 
 
 def test_tight_step_limit_still_exact():
     program = compile_program(HELLO)
     with pytest.raises(EmulatorError) as codegen_error:
-        CodegenEmulator(program, max_steps=1, persist=False).run()
+        CodegenEmulator(program, max_steps=1).run()
     with pytest.raises(EmulatorError) as reference_error:
         Emulator(program, max_steps=1).run()
     assert str(codegen_error.value) == str(reference_error.value)
@@ -241,8 +264,7 @@ def test_tight_step_limit_still_exact():
 def test_exact_step_limit_does_not_fault():
     program = compile_program(LOOP)
     baseline = Emulator(program).run()
-    result = CodegenEmulator(program, max_steps=baseline.steps,
-                             persist=False).run()
+    result = CodegenEmulator(program, max_steps=baseline.steps).run()
     assert result.steps == baseline.steps
     assert result.backend == "codegen"
 
@@ -257,7 +279,7 @@ def test_declined_generation_runs_reference(monkeypatch):
     program = compile_program(LOOP)
     expected = Emulator(program).run()
     with observe.activation(seed=0) as tracer:
-        result = CodegenEmulator(program, persist=False).run()
+        result = CodegenEmulator(program).run()
     assert result.backend == "reference"
     assert tracer.metrics.count("emulator.codegen.compile_declined") == 1
     for field in ("status", "steps", "output", "counts", "taken"):
@@ -284,7 +306,7 @@ def declined(monkeypatch):
 
 def assert_declined_identical(program, **kwargs):
     reference = Emulator(program, **kwargs).run()
-    fallback = CodegenEmulator(program, persist=False, **kwargs).run()
+    fallback = CodegenEmulator(program, **kwargs).run()
     assert fallback.backend == "reference"
     for field in ("status", "steps", "output", "counts", "taken"):
         assert getattr(fallback, field) == getattr(reference, field), field
@@ -307,7 +329,7 @@ def test_declined_generation_identical_on_failing_query(declined):
 
 def test_declined_generation_identical_across_repeated_runs(declined):
     program = compile_program(LOOP)
-    emulator = CodegenEmulator(program, persist=False)
+    emulator = CodegenEmulator(program)
     first = emulator.run()
     again = emulator.run()
     assert again.steps == first.steps
@@ -318,9 +340,9 @@ def test_declined_generation_identical_across_repeated_runs(declined):
 
 def test_declined_generation_memoised_on_program(declined):
     program = compile_program(HELLO)
-    assert codegen_code(program, persist=False) is None
-    assert codegen_code(program, persist=False) is None
-    CodegenEmulator(program, persist=False).run()
+    assert codegen_code(program) is None
+    assert codegen_code(program) is None
+    CodegenEmulator(program).run()
     # the decline is remembered: the generator was asked only once
     assert len(declined) == 1
 
@@ -331,14 +353,14 @@ def test_declined_generation_step_limit_exact_fault(declined):
     with pytest.raises(EmulatorError) as reference_error:
         Emulator(program, max_steps=limit).run()
     with pytest.raises(EmulatorError) as fallback_error:
-        CodegenEmulator(program, max_steps=limit, persist=False).run()
+        CodegenEmulator(program, max_steps=limit).run()
     assert str(fallback_error.value) == str(reference_error.value)
 
 
 def test_declined_generation_tight_step_limit_exact(declined):
     program = compile_program(HELLO)
     with pytest.raises(EmulatorError) as fallback_error:
-        CodegenEmulator(program, max_steps=1, persist=False).run()
+        CodegenEmulator(program, max_steps=1).run()
     with pytest.raises(EmulatorError) as reference_error:
         Emulator(program, max_steps=1).run()
     assert str(fallback_error.value) == str(reference_error.value)
@@ -347,8 +369,7 @@ def test_declined_generation_tight_step_limit_exact(declined):
 def test_declined_generation_exact_step_limit_reports_reference(declined):
     program = compile_program(LOOP)
     baseline = Emulator(program).run()
-    result = CodegenEmulator(program, max_steps=baseline.steps,
-                             persist=False).run()
+    result = CodegenEmulator(program, max_steps=baseline.steps).run()
     assert result.steps == baseline.steps
     assert result.backend == "reference"
 
@@ -369,103 +390,5 @@ def test_fallback_increments_counter():
     baseline = Emulator(program).run()
     with observe.activation(seed=0) as tracer:
         with pytest.raises(EmulatorError):
-            CodegenEmulator(program, max_steps=baseline.steps // 2,
-                            persist=False).run()
+            CodegenEmulator(program, max_steps=baseline.steps // 2).run()
     assert tracer.metrics.count("emulator.codegen.fallbacks") == 1
-
-
-# -- the ``codegen`` artefact kind -----------------------------------------
-
-def _codegen_artifacts(path):
-    return sorted(name for name in os.listdir(path)
-                  if name.startswith("cas-codegen-"))
-
-
-def test_artifact_cache_cold_then_warm(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    with observe.activation(seed=0) as tracer:
-        cold = CodegenEmulator(compile_program(LOOP))
-        first = cold.run()
-    assert tracer.metrics.count("codegen.cache.misses") == 1
-    # two writes: the tier-1 compile, then the tier-2 overwrite (LOOP
-    # runs past _TIER2_STEPS, so the first clean run re-optimises)
-    assert tracer.metrics.count("codegen.cache.writes") == 2
-    assert cold.compiled.from_cache is False
-    [name] = _codegen_artifacts(tmp_path)
-    with open(tmp_path / name) as handle:
-        assert "source" not in json.load(handle)["payload"]
-    # a fresh Program (same fingerprint) is served from the store
-    with observe.activation(seed=0) as tracer:
-        warm = CodegenEmulator(compile_program(LOOP))
-        second = warm.run()
-    assert tracer.metrics.count("codegen.cache.hits") == 1
-    assert tracer.metrics.count("codegen.cache.misses") == 0
-    assert warm.compiled.from_cache is True
-    assert warm.compiled.tier == 2
-    assert second.steps == first.steps
-    assert second.counts == first.counts
-    assert second.taken == first.taken
-
-
-def test_persist_false_writes_no_artifact(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    CodegenEmulator(compile_program(LOOP), persist=False).run()
-    assert _codegen_artifacts(tmp_path) == []
-
-
-def test_corrupt_artifact_recompiles(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    CodegenEmulator(compile_program(LOOP)).run()
-    [name] = _codegen_artifacts(tmp_path)
-    with open(tmp_path / name, "w") as handle:
-        handle.write("{not json")
-    with observe.activation(seed=0) as tracer:
-        emulator = CodegenEmulator(compile_program(LOOP))
-        result = emulator.run()
-    assert tracer.metrics.count("codegen.cache.misses") == 1
-    assert tracer.metrics.count("cache.corrupt") == 1
-    assert emulator.compiled.from_cache is False
-    assert result.backend == "codegen"
-    assert_identical(compile_program(LOOP))
-
-
-def test_edited_artifact_fails_checksum_and_is_never_run(tmp_path,
-                                                         monkeypatch):
-    """A payload edited into different but well-formed bytecode is
-    caught by the entry checksum before anything is unmarshalled."""
-    import base64
-    import marshal
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    CodegenEmulator(compile_program(LOOP)).run()
-    [name] = _codegen_artifacts(tmp_path)
-    hostile = compile("raise SystemExit('executed an unverified entry')",
-                      "<edited>", "exec")
-    with open(tmp_path / name) as handle:
-        entry = json.load(handle)
-    # well-formed bytecode, but the entry keeps its old checksum
-    entry["payload"]["code"] = base64.b64encode(
-        marshal.dumps(hostile)).decode("ascii")
-    with open(tmp_path / name, "w") as handle:
-        json.dump(entry, handle)
-    with observe.activation(seed=0) as tracer:
-        emulator = CodegenEmulator(compile_program(LOOP))
-        result = emulator.run()
-    assert tracer.metrics.count("cache.corrupt") == 1
-    assert tracer.metrics.count("codegen.cache.misses") == 1
-    assert emulator.compiled.from_cache is False
-    assert result.backend == "codegen"
-    assert result.output == Emulator(compile_program(LOOP)).run().output
-
-
-def test_tier2_overwrites_artifact(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(codegen_mod, "_TIER2_STEPS", 1)
-    CodegenEmulator(compile_program(LOOP)).run()
-    [name] = _codegen_artifacts(tmp_path)
-    with open(tmp_path / name) as handle:
-        assert json.load(handle)["payload"]["tier"] == 2
-    # the next evaluation of this program loads the profiled build
-    warm = CodegenEmulator(compile_program(LOOP))
-    assert warm.compiled.from_cache is True
-    assert warm.compiled.tier == 2
-    assert_identical(compile_program(LOOP))

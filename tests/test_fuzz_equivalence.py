@@ -139,8 +139,7 @@ def test_random_unification_agrees(left, right):
 
 def assert_backends_identical(program, max_steps=50_000_000):
     reference = Emulator(program, max_steps=max_steps).run()
-    other = CodegenEmulator(program, max_steps=max_steps,
-                            persist=False).run()
+    other = CodegenEmulator(program, max_steps=max_steps).run()
     assert other.status == reference.status
     assert other.steps == reference.steps
     assert other.output == reference.output
@@ -202,7 +201,7 @@ def test_codegen_block_fault_bail_falls_back_identically(tmp_path):
     reference = Emulator(program).run()
     with faults.injected("emulator.codegen.block=bail:1",
                          str(tmp_path / "fuses")):
-        result = CodegenEmulator(program, persist=False).run()
+        result = CodegenEmulator(program).run()
     assert result.backend == "reference"
     assert _result_fields(result) == _result_fields(reference)
 
@@ -213,7 +212,7 @@ def test_codegen_block_fault_error_raises(tmp_path):
     with faults.injected("emulator.codegen.block=error:1",
                          str(tmp_path / "fuses")):
         with pytest.raises(faults.InjectedFault):
-            CodegenEmulator(program, persist=False).run()
+            CodegenEmulator(program).run()
 
 
 def test_codegen_block_fault_on_paper_benchmark(tmp_path):
@@ -222,7 +221,7 @@ def test_codegen_block_fault_on_paper_benchmark(tmp_path):
     reference = Emulator(program).run()
     with faults.injected("emulator.codegen.block=bail:1",
                          str(tmp_path / "fuses")):
-        result = CodegenEmulator(program, persist=False).run()
+        result = CodegenEmulator(program).run()
     assert result.backend == "reference"
     assert _result_fields(result) == _result_fields(reference)
 
@@ -234,7 +233,7 @@ def test_codegen_block_faults_on_corpus_slice(tmp_path):
         reference = Emulator(program).run()
         with faults.injected("emulator.codegen.block=bail:1",
                              str(tmp_path / name)):
-            result = CodegenEmulator(program, persist=False).run()
+            result = CodegenEmulator(program).run()
         assert result.backend == "reference", name
         assert _result_fields(result) == _result_fields(reference), name
 

@@ -23,8 +23,8 @@ BENCHMARKS = ["conc30", "divide10"]
 NODES = 5
 
 #: the DAG's own artefact kinds.  Tasks run in-process look up their
-#: emulation results and codegen artefacts in the engine's store too,
-#: so the store's totals also count those nested lookups.
+#: emulation results in the engine's store too, so the store's totals
+#: also count those nested lookups.
 DAG_KINDS = ("profile", "regions", "cell")
 
 
@@ -113,15 +113,14 @@ def test_cold_run_counts_every_node_as_a_miss(monkeypatch, tmp_path):
     _, store = _run(monkeypatch, tmp_path)
     assert _node_stats(store) == {"hits": 0, "misses": NODES,
                                   "corrupt": 0}
-    # ...plus one emulation and one codegen miss for the program and
-    # for its superblock transform, and nothing else.
+    # ...plus one emulation miss for the program and one for its
+    # superblock transform, and nothing else.
     assert store.kind_stats() == {
         "profile": {"hits": 0, "misses": 1},
         "regions": {"hits": 0, "misses": 2},
         "cell": {"hits": 0, "misses": 2},
-        "emulation": {"hits": 0, "misses": 2},
-        "codegen": {"hits": 0, "misses": 2}}
-    assert store.stats() == {"hits": 0, "misses": NODES + 4,
+        "emulation": {"hits": 0, "misses": 2}}
+    assert store.stats() == {"hits": 0, "misses": NODES + 2,
                              "corrupt": 0}
 
 

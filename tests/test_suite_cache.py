@@ -7,6 +7,7 @@ import os
 from repro.benchmarks.suite import (
     program_fingerprint, run_program_cached, cache_dir)
 from repro.bam import compile_source
+from repro.emulator import machine
 from repro.evaluation import parallel
 from repro.intcode import translate_module
 from repro.observability import tracing as observe
@@ -77,6 +78,7 @@ def test_corrupt_cache_entry_recomputed(tmp_path, monkeypatch):
 
 def test_profile_cache_records_backend(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(machine, "_COMPILE_AFTER_STEPS", 0)
     program = program_for(SOURCE_A)
     result = run_program_cached(program, "hello-")
     assert result.backend == "codegen"
@@ -90,6 +92,7 @@ def test_profile_cache_records_backend(tmp_path, monkeypatch):
 
 def test_requested_backend_is_part_of_the_key(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(machine, "_COMPILE_AFTER_STEPS", 0)
     program = program_for(SOURCE_A)
     reference = run_program_cached(program, "hello-", backend="reference")
     compiled = run_program_cached(program, "hello-", backend="codegen")

@@ -251,7 +251,7 @@ def test_tracing_overhead_within_budget():
 
     for name in QUICK_BENCHMARKS:
         program = compile_benchmark(name)
-        run_program(program)        # warm the compiled-code memo
+        run_program(program)        # warm the decode memo
         # Host noise on sub-millisecond runs swamps the real ~0.5%
         # overhead, so a failing sample is re-measured before the
         # budget verdict.
