@@ -701,7 +701,7 @@ def _serve_config(args):
     from repro.serve.service import ServiceConfig
     return ServiceConfig(
         host=args.host, port=args.port, jobs=_resolve_jobs(args),
-        shards=args.shards, cache_root=args.cache_dir,
+        cache_root=args.cache_dir,
         queue_limit=args.queue_limit, batch_max=args.batch_max,
         default_deadline=args.deadline,
         breaker_threshold=args.breaker_threshold,
@@ -742,7 +742,7 @@ def cmd_serve(args, out, err):
         document = run_load_test(
             requests=args.load_test, concurrency=args.concurrency,
             jobs=_resolve_jobs(args), url=args.url,
-            shards=args.shards or 8, queue_limit=args.queue_limit,
+            queue_limit=args.queue_limit,
             progress=lambda text: out.write("serve: %s\n" % text))
         latency = document["latency_ms"]
         out.write("serve: %d request(s), p50 %.1fms p99 %.1fms, "
@@ -898,13 +898,13 @@ def _query_sweep(args, out, err):
 
 def cmd_cache(args, out, err):
     from repro.evaluation.cache import open_store
-    store = open_store(args.dir, args.shards)
+    store = open_store(args.dir)
     if args.action == "stats":
         usage = store.usage()
-        out.write("cache %s: %d entr(ies), %d byte(s), %d shard(s), "
+        out.write("cache %s: %d entr(ies), %d byte(s), "
                   "%d quarantined (%d byte(s))\n"
                   % (usage["root"], usage["entries"], usage["bytes"],
-                     usage["shards"], usage["quarantined_files"],
+                     usage["quarantined_files"],
                      usage["quarantined_bytes"]))
         for kind, occupancy in usage["kinds"].items():
             out.write("  %s: %d entr(ies), %d byte(s)\n"
@@ -1098,9 +1098,6 @@ def build_parser():
     p.add_argument("-j", "--jobs", type=int, metavar="N",
                    help="evaluation worker processes (default: all "
                         "cores; 1 = in-process)")
-    p.add_argument("--shards", type=int, metavar="N",
-                   help="cache shard count (default: "
-                        "REPRO_CACHE_SHARDS, else unsharded)")
     p.add_argument("--cache-dir", metavar="PATH",
                    help="cache root (default: REPRO_CACHE_DIR)")
     p.add_argument("--queue-limit", type=int, default=64, metavar="N",
@@ -1172,9 +1169,6 @@ def build_parser():
     p.add_argument("action", choices=("stats", "gc"))
     p.add_argument("--dir", metavar="PATH",
                    help="cache root (default: REPRO_CACHE_DIR)")
-    p.add_argument("--shards", type=int, metavar="N",
-                   help="shard count of the store layout (default: "
-                        "REPRO_CACHE_SHARDS, else unsharded)")
     p.add_argument("--budget", type=int, default=256 * 1024 * 1024,
                    metavar="BYTES",
                    help="gc: evict least-recently-used entries until "

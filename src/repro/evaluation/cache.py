@@ -1,43 +1,36 @@
-"""Pluggable content-addressed artefact stores.
+"""The content-addressed artefact store.
 
 The evaluation pipeline memoises every DAG node — profiles, region
-layouts, cycle cells, experiment-level results — in a
-content-addressed store of checksummed JSON entries.  PR 2 introduced
-the single-directory :class:`CacheStore` with one global ``.lock``;
-this module makes the store a small pluggable surface so the serving
-layer (:mod:`repro.serve`) can scale it:
+layouts, cycle cells, experiment-level results — in one
+content-addressed store of checksummed JSON entries:
 
 :class:`CacheStore`
-    The single-directory backend.  Entry files are
-    ``cas-<kind>-<keyhash>.json``; writers are serialised per *lock
-    slot* (the key hash picks one of :data:`LOCK_SLOTS` advisory lock
-    files) instead of one global lock, so unrelated keys no longer
-    contend.
-
-:class:`ShardedCacheStore`
-    Entries are spread over ``shard-XX/`` subdirectories by key hash,
-    each shard with its own ``.lock``.  Adds corruption *quarantine*
-    (a damaged entry is moved aside for post-mortem rather than
-    silently unlinked), a size-budgeted LRU eviction sweep
-    (:meth:`gc`, surfaced as ``repro cache gc``) and the
-    ``cache.shard`` fault-injection site.
+    Entry files are ``cas-<kind>-<keyhash>.json`` in one directory.
+    Writers are serialised per *lock slot* (the key hash picks one of
+    :data:`LOCK_SLOTS` advisory lock files), so unrelated keys rarely
+    contend.  A confirmed-corrupt entry is moved into ``quarantine/``
+    for post-mortem; :meth:`~CacheStore.gc` (``repro cache gc``)
+    purges it and evicts least-recently-used entries down to a byte
+    budget.
 
 :func:`open_store`
-    Factory honouring ``REPRO_CACHE_SHARDS`` — the engine, the CLI and
-    the service all open their store through it, so a deployment picks
-    its backend with one environment variable.
+    The engine, the CLI and the service all open their store through
+    it.
 
 :func:`current_store` / :func:`using_store`
     The engine and :func:`~repro.evaluation.parallel.memoised` make
     their store current while they compute, so nested profile lookups
     share its counters and re-entrant slot locks.
 
-Robustness invariants shared by both backends:
+Robustness invariants:
 
 * Reads are optimistic and lock-free.  A corrupt or checksum-mismatched
-  entry is **re-checked under the key's lock** before being discarded:
-  a concurrent writer may have repaired it between our read and our
-  delete, and unlinking the fresh entry would throw its work away.
+  entry is **re-checked under the key's lock** before it is
+  quarantined: a concurrent writer may have repaired it between our
+  read and our move, and moving the fresh entry aside would throw its
+  work away.  The ``cache.read`` fault site injects on-disk damage
+  (``corrupt``) and transient read errors (``error``); both read as a
+  miss.
 * Writes go through :func:`repro.atomicio.atomic_write_json` under the
   key's lock.  If the lock cannot be acquired within a bound the write
   proceeds unlocked — the atomic rename alone already guarantees
@@ -64,7 +57,6 @@ from repro.testing import faults
 __all__ = [
     "CACHE_SCHEMA",
     "CacheStore",
-    "ShardedCacheStore",
     "current_store",
     "open_store",
     "using_store",
@@ -73,17 +65,14 @@ __all__ = [
 #: bump to invalidate every cached artefact (layout/format changes)
 CACHE_SCHEMA = 1
 
-#: single-directory stores hash keys onto this many advisory lock
-#: files (``.lock-XX``) so unrelated keys do not serialise each other
+#: the store hashes keys onto this many advisory lock files
+#: (``.lock-XX``) so unrelated keys do not serialise each other
 LOCK_SLOTS = 16
 
 #: how long a writer waits for the key's lock before falling back to
 #: an unlocked (still atomic) publish — prevents cross-key deadlock
 #: when two single-flight computes write each other's slots
 PUT_LOCK_TIMEOUT = 10.0
-
-#: ``open_store`` reads the shard count from this variable
-SHARDS_ENV = "REPRO_CACHE_SHARDS"
 
 
 def _canonical(value):
@@ -101,7 +90,7 @@ class CacheStore:
     Entries live as ``cas-<kind>-<keyhash>.json`` files wrapping the
     payload together with a checksum of its canonical encoding; a
     missing, truncated, corrupt or checksum-mismatched entry reads as
-    a miss (and is discarded *under the key's lock* — see
+    a miss (and is quarantined *under the key's lock* — see
     :meth:`_recover`) so it is recomputed, never trusted.  Writes are
     crash-safe (:func:`repro.atomicio.atomic_write_json`: temp file +
     fsync + atomic rename) and serialised under the key's slot lock,
@@ -145,7 +134,8 @@ class CacheStore:
         own :meth:`put` share the same re-entrant object instead of
         deadlocking on a second descriptor.
         """
-        path = self._lock_path(key)
+        slot = zlib.crc32(key.encode()) % LOCK_SLOTS
+        path = os.path.join(self.root, ".lock-%02x" % slot)
         lock = self._locks.get(path)
         if lock is None:
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -153,19 +143,20 @@ class CacheStore:
             self._locks[path] = lock
         return lock
 
-    def _lock_path(self, key):
-        slot = zlib.crc32(key.encode()) % LOCK_SLOTS
-        return os.path.join(self.root, ".lock-%02x" % slot)
-
     # -- reads -------------------------------------------------------------
 
     def get(self, key):
-        """The payload stored under *key*, or None (a miss)."""
+        """The payload stored under *key*, or None (a miss).
+
+        An injected read error is a miss too: the caller recomputes,
+        and the entry stays on disk for the next read."""
         path = self.path(key)
         try:
-            self._pre_read_faults(path)
+            if faults.armed("cache.read") and os.path.exists(path) \
+                    and faults.fire("cache.read") == "corrupt":
+                faults.corrupt_file(path)
             payload = self._read(path)
-        except FileNotFoundError:
+        except (FileNotFoundError, faults.InjectedFault):
             self.misses += 1
             obs.add("cache.misses")
             self._note_kind(key, "misses")
@@ -195,11 +186,6 @@ class CacheStore:
                 parts[1], {"hits": 0, "misses": 0})
             counts[outcome] += 1
 
-    def _pre_read_faults(self, path):
-        if faults.armed("cache.read") and os.path.exists(path) \
-                and faults.fire("cache.read") == "corrupt":
-            faults.corrupt_file(path)
-
     def _read(self, path):
         """Decode and verify one entry file; raises on any damage."""
         with open(path) as handle:
@@ -217,10 +203,10 @@ class CacheStore:
     def _recover(self, key, path):
         """Re-check a corrupt entry under the key's lock.
 
-        Discarding without the lock could unlink an entry a concurrent
-        writer repaired between our read and our delete; under the
-        lock either the repaired payload is served or the damage is
-        confirmed and the entry discarded.
+        Quarantining without the lock could move aside an entry a
+        concurrent writer repaired between our read and our move;
+        under the lock either the repaired payload is served or the
+        damage is confirmed and the entry quarantined.
         """
         with self.lock_for(key):
             try:
@@ -234,15 +220,23 @@ class CacheStore:
                 self.misses += 1
                 obs.add("cache.corrupt")
                 obs.add("cache.misses")
-                self._discard(path)
+                self._quarantine(path)
                 return None
 
-    def _discard(self, path):
-        """Remove a confirmed-corrupt entry (holding the key's lock)."""
+    def _quarantine(self, path):
+        """Move a confirmed-corrupt entry into ``quarantine/`` (holding
+        the key's lock), or unlink it if the move fails."""
+        directory = self._quarantine_dir()
+        os.makedirs(directory, exist_ok=True)
         try:
-            os.remove(path)
+            os.replace(path, os.path.join(directory,
+                                          os.path.basename(path)))
         except OSError:
-            pass
+            with contextlib.suppress(OSError):
+                os.remove(path)
+            return
+        self.quarantined += 1
+        obs.add("cache.quarantined")
 
     def _touch(self, path):
         """Refresh the entry's mtime so LRU eviction sees the hit."""
@@ -278,7 +272,8 @@ class CacheStore:
         """
         if lock.try_acquire():
             return True
-        self._note_contention()
+        self.contention += 1
+        obs.add("cache.lock.contention")
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             time.sleep(0.01)
@@ -286,33 +281,24 @@ class CacheStore:
                 return True
         return False
 
-    def _note_contention(self):
-        self.contention += 1
-        obs.add("cache.lock.contention")
-
     # -- maintenance -------------------------------------------------------
-
-    def _entry_dirs(self):
-        return [self.root]
 
     def entries(self):
         """``(path, size, mtime)`` of every entry file, oldest first."""
+        try:
+            names = os.listdir(self.root)
+        except OSError:
+            return []
         found = []
-        for directory in self._entry_dirs():
+        for name in names:
+            if not (name.startswith("cas-") and name.endswith(".json")):
+                continue
+            path = os.path.join(self.root, name)
             try:
-                names = os.listdir(directory)
+                status = os.stat(path)
             except OSError:
                 continue
-            for name in sorted(names):
-                if not (name.startswith("cas-")
-                        and name.endswith(".json")):
-                    continue
-                path = os.path.join(directory, name)
-                try:
-                    status = os.stat(path)
-                except OSError:
-                    continue
-                found.append((path, status.st_size, status.st_mtime))
+            found.append((path, status.st_size, status.st_mtime))
         found.sort(key=lambda item: (item[2], item[0]))
         return found
 
@@ -347,7 +333,6 @@ class CacheStore:
                 pass
         return {
             "root": self.root,
-            "shards": getattr(self, "shards", 1),
             "entries": len(entries),
             "bytes": sum(size for _, size, _ in entries),
             "quarantined_files": len(quarantine),
@@ -421,100 +406,18 @@ class CacheStore:
             "evictions": self.evictions,
             "races": self.races,
             "contention": self.contention,
-            "shards": getattr(self, "shards", 1),
         })
         return counters
 
 
 class ShardedCacheStore(CacheStore):
-    """A :class:`CacheStore` spread over per-shard subdirectories.
-
-    The key hash picks one of *shards* ``shard-XX/`` directories, each
-    with its own ``.lock``, so concurrent writers only contend when
-    they actually share a shard.  Confirmed-corrupt entries are moved
-    into ``quarantine/`` (counted as ``cache.quarantined``) instead of
-    unlinked, preserving the evidence; the ``cache.shard`` fault site
-    injects read-path corruption and transient shard I/O errors, both
-    of which must heal into a recompute, never a wrong answer.
-    """
-
-    def __init__(self, root=None, shards=8):
-        super().__init__(root)
-        self.shards = max(1, int(shards))
-
-    def shard_of(self, key):
-        return zlib.crc32(key.encode()) % self.shards
-
-    def shard_dir(self, index):
-        return os.path.join(self.root, "shard-%02x" % index)
-
-    def path(self, key):
-        return os.path.join(self.shard_dir(self.shard_of(key)),
-                            key + ".json")
-
-    def _lock_path(self, key):
-        return os.path.join(self.shard_dir(self.shard_of(key)), ".lock")
-
-    def _entry_dirs(self):
-        try:
-            names = sorted(os.listdir(self.root))
-        except OSError:
-            return []
-        return [os.path.join(self.root, name) for name in names
-                if name.startswith("shard-")]
-
-    def _note_contention(self):
-        self.contention += 1
-        obs.add("cache.shard.contention")
-
-    def get(self, key):
-        try:
-            return super().get(key)
-        except faults.InjectedFault:
-            # A transient shard I/O error is a miss, not an outage:
-            # the caller recomputes and the entry is rewritten.
-            self.misses += 1
-            obs.add("cache.shard.errors")
-            obs.add("cache.misses")
-            self._note_kind(key, "misses")
-            return None
-
-    def _pre_read_faults(self, path):
-        super()._pre_read_faults(path)
-        if faults.armed("cache.shard") and os.path.exists(path):
-            kind = faults.fire("cache.shard")
-            if kind == "corrupt":
-                faults.corrupt_file(path)
-
-    def _discard(self, path):
-        directory = self._quarantine_dir()
-        os.makedirs(directory, exist_ok=True)
-        target = os.path.join(directory, os.path.basename(path))
-        try:
-            os.replace(path, target)
-        except OSError:
-            super()._discard(path)
-            return
-        self.quarantined += 1
-        obs.add("cache.quarantined")
+    """Not a store layout: the benchmark's span table (``perfbench/
+    spans.py``) looks this name up.  It defines no methods, so the
+    benchmark wraps ``CacheStore.get`` once, not twice."""
 
 
-def open_store(root=None, shards=None):
-    """Open the configured store backend.
-
-    *shards* ``None`` reads ``REPRO_CACHE_SHARDS`` from the
-    environment; a count above 1 selects :class:`ShardedCacheStore`,
-    anything else the single-directory :class:`CacheStore`.
-    """
-    if shards is None:
-        value = os.environ.get(SHARDS_ENV)
-        if value:
-            try:
-                shards = int(value)
-            except ValueError:
-                shards = None
-    if shards is not None and shards > 1:
-        return ShardedCacheStore(root, shards)
+def open_store(root=None):
+    """The artefact store under *root* (default: :func:`cache_dir`)."""
     return CacheStore(root)
 
 

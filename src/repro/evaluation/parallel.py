@@ -46,12 +46,11 @@ keeps ``pdb`` and coverage usable.
 Cache artefact writes are crash-safe (temp file + fsync + atomic
 rename via :mod:`repro.atomicio`) and serialised by per-key advisory
 locks, so concurrent CLI runs sharing one cache directory never
-clobber each other.  The store itself is pluggable — see
-:mod:`repro.evaluation.cache` for the single-directory and sharded
-backends and :func:`~repro.evaluation.cache.open_store`.  The
-deterministic fault-injection sites the chaos suite drives
-(``parallel.task``, ``cache.read``, ``cache.write``,
-``cache.shard``) are described in :mod:`repro.testing.faults`.
+clobber each other.  The store itself lives in
+:mod:`repro.evaluation.cache` (:func:`~repro.evaluation.cache
+.open_store`).  The deterministic fault-injection sites the chaos
+suite drives (``parallel.task``, ``cache.read``, ``cache.write``) are
+described in :mod:`repro.testing.faults`.
 """
 
 import hashlib
@@ -64,8 +63,7 @@ from repro.benchmarks.suite import (
 from repro.emulator import resolve_backend
 # Re-exported for compatibility: the store grew into its own module.
 from repro.evaluation.cache import (        # noqa: F401
-    CACHE_SCHEMA, CacheStore, ShardedCacheStore, current_store,
-    open_store, using_store)
+    CACHE_SCHEMA, CacheStore, current_store, open_store, using_store)
 from repro.evaluation.supervisor import (
     EvaluationReport, Supervisor, SupervisorPolicy, kill_pool)
 from repro.observability import tracing as obs
@@ -77,7 +75,6 @@ __all__ = [
     "EvaluationEngine",
     "EvaluationError",
     "EvaluationReport",
-    "ShardedCacheStore",
     "SupervisorPolicy",
     "artefact_key",
     "code_version",

@@ -67,15 +67,14 @@ Answer memo table
 -----------------
 
 Answers are memoized under the ``orparallel`` cache kind through the
-pluggable :class:`~repro.evaluation.cache.CacheStore`.  The memo key
+content-addressed :class:`~repro.evaluation.cache.CacheStore`.  The memo key
 is a canonical **(program, call-pattern) fingerprint**: the program's
 source digest plus the goal with its variables renamed to ``_0, _1,
 ...`` in order of first occurrence — ``p(X, b, X)`` and ``p(Q, b,
 Q)`` share an entry, ``p(X, b, Y)`` does not, because the sharing
-pattern is part of what the answers mean.  Entries exist at two
-scopes: the whole call (one entry per query pattern) and one entry
-per branch, so a partially warm cache re-dispatches only the missing
-branches.  Memoisation is sound for *every* goal — the reference
+pattern is part of what the answers mean.  There is one entry per
+query pattern, for the whole call; a cold call dispatches every
+branch.  Memoisation is sound for *every* goal — the reference
 engine is deterministic, and rendered answers plus captured output
 are the whole observable result — so the memo also serves fallback
 queries.  The answer limit is part of the key: a truncated answer
@@ -393,46 +392,18 @@ def sequential_answers(source, goal="main", limit=None):
 # --------------------------------------------------------------------------
 # The or-parallel driver.
 
-def _memo_components(digest, pattern, limit, scope, clause=None):
-    components = {"fingerprint": digest, "pattern": pattern,
-                  "limit": limit, "scope": scope}
-    if clause is not None:
-        components["clause"] = clause
-    return components
-
-
-def _parallel_answers(source, goal_text, parsed, branches, engine,
-                      store, use_memo, limit, prefix):
-    """Fan the branch tasks out over the pool; reassemble in clause
-    order.  Branch-scope memo entries serve warm branches without a
-    dispatch; only the cold ones travel to the pool."""
-    from repro.evaluation.parallel import artefact_key
-    digest = program_digest(source)
-    pattern = canonical_term(parsed)
-    payloads = {}
-    specs = []
-    for index in branches:
-        key = artefact_key(store, MEMO_KIND, _memo_components(
-            digest, pattern, limit, "branch", index))
-        cached = store.get(key) if use_memo else None
-        if cached is not None:
-            payloads[index] = cached
-            obs.add("orparallel.branch_memo.hits")
-        else:
-            specs.append({"source": source, "goal": goal_text,
-                          "clause": index, "limit": limit, "key": key})
-            obs.add("orparallel.branch_memo.misses")
-    if specs:
-        with obs.span("orparallel.fanout", branches=len(specs),
-                      jobs=engine.jobs):
-            results = engine.map(_branch_task, specs)
-        for spec, payload in zip(specs, results):
-            store.put(spec["key"], payload)
-            payloads[spec["clause"]] = payload
+def _parallel_answers(source, goal_text, branches, engine, limit,
+                      prefix):
+    """Fan one task per branch out over the pool; reassemble in clause
+    order."""
+    specs = [{"source": source, "goal": goal_text, "clause": index,
+              "limit": limit} for index in branches]
+    with obs.span("orparallel.fanout", branches=len(specs),
+                  jobs=engine.jobs):
+        payloads = engine.map(_branch_task, specs)
     answers = []
     output = [prefix]
-    for index in branches:
-        payload = payloads[index]
+    for payload in payloads:
         answers.extend(payload["answers"])
         output.append(payload["output"])
     if limit is not None:
@@ -479,9 +450,8 @@ def or_solutions(source, goal="main", engine=None, store=None,
                                   branches=len(branches))
                 obs.add("orparallel.splits")
                 obs.add("orparallel.branches", len(branches))
-                return _parallel_answers(
-                    source, goal, parsed, branches, engine, store,
-                    use_memo, limit, prefix)
+                return _parallel_answers(source, goal, branches, engine,
+                                         limit, prefix)
             provenance.update(
                 mode="sequential",
                 branches=0 if branches is None else len(branches))
@@ -490,8 +460,8 @@ def or_solutions(source, goal="main", engine=None, store=None,
                 obs.add("orparallel.fallbacks")
             return sequential_answers(source, goal, limit=limit)
 
-        components = _memo_components(program_digest(source), pattern,
-                                      limit, "call")
+        components = {"fingerprint": program_digest(source),
+                      "pattern": pattern, "limit": limit}
         payload = memoised(MEMO_KIND, components, compute, store=store,
                            use_cache=use_memo)
         if provenance:

@@ -26,7 +26,7 @@ import urllib.parse
 
 from repro.atomicio import atomic_write_json
 from repro.benchmarks.perf import git_revision
-from repro.evaluation.cache import SHARDS_ENV, open_store
+from repro.evaluation.cache import open_store
 from repro.evaluation.parallel import EvaluationEngine
 from repro.serve.ops import canonical_json, compute_result, parse_request
 from repro.serve.service import ServiceConfig, ServiceThread
@@ -51,7 +51,7 @@ def mixed_templates(benchmarks=DEFAULT_BENCHMARKS,
     """The distinct request templates of the mixed workload.
 
     Four operations per benchmark.  Small on purpose: a *repeated*
-    query mix is the memoing access pattern the sharded cache must
+    query mix is the memoing access pattern the cache must
     turn into warm hits (the acceptance bar is a ≥ 90% warm rate).
     """
     templates = []
@@ -72,13 +72,11 @@ def reference_results(templates, cache_root):
     references are what a clean, non-concurrent run produces.
     """
     saved = {}
-    for name in (faults.ENV_SPEC, faults.ENV_STATE, SHARDS_ENV,
-                 "REPRO_CACHE_DIR"):
+    for name in (faults.ENV_SPEC, faults.ENV_STATE, "REPRO_CACHE_DIR"):
         saved[name] = os.environ.pop(name, None)
     os.environ["REPRO_CACHE_DIR"] = cache_root
     try:
-        engine = EvaluationEngine(jobs=1,
-                                  store=open_store(cache_root, 1))
+        engine = EvaluationEngine(jobs=1, store=open_store(cache_root))
         references = {}
         for template in templates:
             spec, _ = parse_request(template["op"], template["body"])
@@ -342,12 +340,12 @@ def write_serve_bench(document, path):
 
 def run_load_test(requests=2000, concurrency=64, jobs=2, url=None,
                   benchmarks=DEFAULT_BENCHMARKS,
-                  configs=DEFAULT_CONFIGS, shards=8, queue_limit=None,
+                  configs=DEFAULT_CONFIGS, queue_limit=None,
                   breaker_threshold=2, progress=None):
     """Run the full load test; returns the bench document.
 
     Self-hosted by default: a :class:`ServiceThread` with *jobs* pool
-    workers and a fresh sharded cache serves the run, so cold-compute,
+    workers and a fresh cache serves the run, so cold-compute,
     warm-hit, shedding and drain behaviour are all exercised in one
     process tree.  Pass *url* to drive an externally started service
     instead (CI's smoke job does both).
@@ -387,12 +385,11 @@ def run_load_test(requests=2000, concurrency=64, jobs=2, url=None,
         os.environ["REPRO_CACHE_DIR"] = cache_root
         try:
             config = ServiceConfig(
-                jobs=jobs, shards=shards, cache_root=cache_root,
+                jobs=jobs, cache_root=cache_root,
                 queue_limit=queue_limit or max(16, concurrency // 2),
                 breaker_threshold=breaker_threshold)
-            note("starting service: %d worker(s), %d shard(s), "
-                 "queue limit %d" % (jobs, shards,
-                                     config.queue_limit))
+            note("starting service: %d worker(s), queue limit %d"
+                 % (jobs, config.queue_limit))
             with ServiceThread(config) as served:
                 note("driving %d request(s) (concurrency %d)"
                      % (requests, concurrency))

@@ -62,8 +62,8 @@ _STOP = object()
 class ServiceConfig:
     """Tunable service parameters (every knob has a CLI flag)."""
 
-    def __init__(self, host="127.0.0.1", port=0, jobs=1, shards=None,
-                 cache_root=None, queue_limit=64, batch_max=16,
+    def __init__(self, host="127.0.0.1", port=0, jobs=1, cache_root=None,
+                 queue_limit=64, batch_max=16,
                  default_deadline=120.0, max_deadline=600.0,
                  max_attempts=3, retry_after=1.0,
                  breaker_threshold=2, breaker_cooldown=30.0,
@@ -73,7 +73,6 @@ class ServiceConfig:
         self.host = host
         self.port = port
         self.jobs = max(1, jobs)
-        self.shards = shards
         self.cache_root = cache_root
         self.queue_limit = max(1, queue_limit)
         self.batch_max = max(1, batch_max)
@@ -186,8 +185,7 @@ class EvaluationService:
     def __init__(self, config=None):
         self.config = config or ServiceConfig()
         faults.validate_environment()
-        self.store = open_store(self.config.cache_root,
-                                self.config.shards)
+        self.store = open_store(self.config.cache_root)
         self.engine = EvaluationEngine(jobs=self.config.jobs,
                                        store=self.store,
                                        policy=self.config.policy())

@@ -27,8 +27,9 @@ Sites and the kinds each supports:
 =====================  ============================================
 ``parallel.task``      ``error`` / ``crash`` / ``hang`` — worker-side
                        evaluation task entry
-``cache.read``         ``corrupt`` — flip a byte of the artefact on
-                       disk before the store reads it
+``cache.read``         ``corrupt`` / ``error`` — flip a byte of the
+                       artefact on disk before the store reads it;
+                       a transient read error (reads as a miss)
 ``cache.write``        ``torn`` — abandon an atomic write after the
                        temp file is written, before the publish rename
 ``pipeline.cycles``    ``error`` — schedule-and-replay of one cell
@@ -38,8 +39,6 @@ Sites and the kinds each supports:
 ``serve.request``      ``error`` / ``shed`` / ``hang`` — one request
                        inside the evaluation service (transient
                        failure, forced 429, slow execution)
-``cache.shard``        ``corrupt`` / ``error`` — the sharded store's
-                       read path (on-disk damage, transient I/O)
 ``orparallel.task``    ``error`` / ``crash`` / ``hang`` — one stolen
                        branch of an or-parallel search
 =====================  ============================================
@@ -65,7 +64,7 @@ ENV_STATE = "REPRO_FAULT_STATE"
 #: site name -> the fault kinds that make sense there
 SITES = {
     "parallel.task": ("error", "crash", "hang"),
-    "cache.read": ("corrupt",),
+    "cache.read": ("corrupt", "error"),
     "cache.write": ("torn",),
     "pipeline.cycles": ("error", "crash", "hang"),
     "pipeline.superblock": ("error", "crash", "hang"),
@@ -74,9 +73,6 @@ SITES = {
     # the evaluation service (repro serve): per-request transient
     # failures, forced load shedding, and slow-request hangs
     "serve.request": ("error", "shed", "hang"),
-    # the sharded cache backend: on-disk corruption and transient
-    # shard I/O errors on the read path
-    "cache.shard": ("corrupt", "error"),
     # one stolen branch task of the or-parallel search engine
     # (repro.interp.orparallel): transient failure, worker SIGKILL,
     # a branch hanging past the supervisor's deadline

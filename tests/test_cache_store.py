@@ -1,7 +1,7 @@
-"""The pluggable cache store backends.
+"""The content-addressed cache store.
 
-Pins the robustness contract of :mod:`repro.evaluation.cache`: sharded
-placement and per-shard locking, corruption quarantine, the
+Pins the robustness contract of :mod:`repro.evaluation.cache`:
+corruption quarantine, injected read faults, the
 re-check-under-lock recovery path (a repaired entry must be served,
 not deleted), size-budgeted LRU eviction, single-flight memoisation
 (one compute per key under concurrency, races counted), and the
@@ -15,8 +15,7 @@ import time
 
 import pytest
 
-from repro.evaluation.cache import (
-    CacheStore, ShardedCacheStore, SHARDS_ENV, open_store)
+from repro.evaluation.cache import CacheStore
 from repro.evaluation import cache as cache_module
 from repro.evaluation.parallel import memoised
 from repro.testing import faults
@@ -27,13 +26,8 @@ def store(tmp_path):
     return CacheStore(str(tmp_path / "cache"))
 
 
-@pytest.fixture
-def sharded(tmp_path):
-    return ShardedCacheStore(str(tmp_path / "cache"), shards=4)
-
-
 # --------------------------------------------------------------------------
-# Round trips and placement.
+# Round trips.
 
 def test_roundtrip_and_miss_counting(store):
     key = store.key("cell", {"a": 1})
@@ -50,42 +44,8 @@ def test_key_is_sensitive_to_kind_and_components(store):
     assert store.key("cell", {"a": 1}) == base
 
 
-def test_sharded_roundtrip_places_entries_in_shard_dirs(sharded):
-    keys = [sharded.key("cell", {"n": n}) for n in range(16)]
-    for n, key in enumerate(keys):
-        sharded.put(key, {"n": n})
-    for n, key in enumerate(keys):
-        assert sharded.get(key) == {"n": n}
-        path = sharded.path(key)
-        shard = os.path.basename(os.path.dirname(path))
-        assert shard == "shard-%02x" % sharded.shard_of(key)
-    # With 16 distinct keys over 4 shards, placement must spread: at
-    # least two shard directories exist (crc32 would have to collide
-    # 16 keys into one bucket otherwise).
-    assert len(sharded._entry_dirs()) >= 2
-
-
-def test_sharded_and_plain_store_use_same_keys(tmp_path):
-    plain = CacheStore(str(tmp_path / "a"))
-    shard = ShardedCacheStore(str(tmp_path / "b"), shards=8)
-    assert plain.key("cell", {"x": 1}) == shard.key("cell", {"x": 1})
-
-
-def test_open_store_honours_environment(tmp_path, monkeypatch):
-    monkeypatch.delenv(SHARDS_ENV, raising=False)
-    assert type(open_store(str(tmp_path))) is CacheStore
-    monkeypatch.setenv(SHARDS_ENV, "8")
-    picked = open_store(str(tmp_path))
-    assert isinstance(picked, ShardedCacheStore)
-    assert picked.shards == 8
-    # Explicit argument beats the environment; nonsense is ignored.
-    assert type(open_store(str(tmp_path), shards=1)) is CacheStore
-    monkeypatch.setenv(SHARDS_ENV, "lots")
-    assert type(open_store(str(tmp_path))) is CacheStore
-
-
 # --------------------------------------------------------------------------
-# Corruption: discard vs quarantine, and recovery under the lock.
+# Corruption: quarantine, and recovery under the lock.
 
 def test_corrupt_entry_is_a_miss_then_recomputable(store):
     key = store.key("cell", {"a": 1})
@@ -98,15 +58,15 @@ def test_corrupt_entry_is_a_miss_then_recomputable(store):
     assert store.get(key) == {"value": 2}
 
 
-def test_sharded_corrupt_entry_is_quarantined_not_unlinked(sharded):
-    key = sharded.key("cell", {"a": 1})
-    sharded.put(key, {"value": 1})
-    faults.corrupt_file(sharded.path(key))
-    assert sharded.get(key) is None
-    assert sharded.quarantined == 1
-    assert not os.path.exists(sharded.path(key))
-    names = os.listdir(os.path.join(sharded.root, "quarantine"))
-    assert names == [os.path.basename(sharded.path(key))]
+def test_sharded_corrupt_entry_is_quarantined_not_unlinked(store):
+    key = store.key("cell", {"a": 1})
+    store.put(key, {"value": 1})
+    faults.corrupt_file(store.path(key))
+    assert store.get(key) is None
+    assert store.quarantined == 1
+    assert not os.path.exists(store.path(key))
+    names = os.listdir(os.path.join(store.root, "quarantine"))
+    assert names == [os.path.basename(store.path(key))]
 
 
 def test_recovery_recheck_serves_entry_repaired_under_lock(
@@ -145,58 +105,59 @@ def test_checksum_mismatch_detected_not_just_bad_json(store):
     assert store.corrupt == 1
 
 
-def test_cache_shard_fault_corrupts_then_heals(sharded, tmp_path):
-    key = sharded.key("cell", {"a": 1})
-    sharded.put(key, {"value": 7})
-    with faults.injected("cache.shard=corrupt:1"):
-        assert sharded.get(key) is None     # injected damage -> miss
-        sharded.put(key, {"value": 7})      # recompute heals
-        assert sharded.get(key) == {"value": 7}
-    assert sharded.quarantined == 1
+def test_cache_shard_fault_corrupts_then_heals(store):
+    key = store.key("cell", {"a": 1})
+    store.put(key, {"value": 7})
+    with faults.injected("cache.read=corrupt:1"):
+        assert store.get(key) is None     # injected damage -> miss
+        store.put(key, {"value": 7})      # recompute heals
+        assert store.get(key) == {"value": 7}
+    assert store.quarantined == 1
 
 
-def test_cache_shard_error_fault_reads_as_miss(sharded):
-    key = sharded.key("cell", {"a": 1})
-    sharded.put(key, {"value": 7})
-    with faults.injected("cache.shard=error:1"):
-        assert sharded.get(key) is None     # transient I/O -> miss
-        assert sharded.get(key) == {"value": 7}   # next read is fine
-    assert os.path.exists(sharded.path(key))
+def test_cache_shard_error_fault_reads_as_miss(store):
+    key = store.key("cell", {"a": 1})
+    store.put(key, {"value": 7})
+    with faults.injected("cache.read=error:1"):
+        assert store.get(key) is None     # transient read error -> miss
+        assert store.get(key) == {"value": 7}   # next read is fine
+    assert store.stats() == {"hits": 1, "misses": 1, "corrupt": 0}
+    assert os.path.exists(store.path(key))
 
 
 # --------------------------------------------------------------------------
 # LRU eviction under a byte budget.
 
-def test_gc_evicts_oldest_entries_down_to_budget(sharded):
-    keys = [sharded.key("cell", {"n": n}) for n in range(6)]
+def test_gc_evicts_oldest_entries_down_to_budget(store):
+    keys = [store.key("cell", {"n": n}) for n in range(6)]
     for n, key in enumerate(keys):
-        sharded.put(key, {"n": n, "pad": "x" * 64})
+        store.put(key, {"n": n, "pad": "x" * 64})
     now = time.time()
     for age, key in enumerate(reversed(keys)):
-        os.utime(sharded.path(key), (now - age * 60, now - age * 60))
+        os.utime(store.path(key), (now - age * 60, now - age * 60))
     # keys[0] is now the oldest, keys[5] the freshest.
-    sizes = {key: os.stat(sharded.path(key)).st_size for key in keys}
+    sizes = {key: os.stat(store.path(key)).st_size for key in keys}
     budget = sum(sizes[key] for key in keys[2:])
-    summary = sharded.gc(budget)
+    summary = store.gc(budget)
     assert summary["removed"] == 2
     assert summary["kept"] == 4
     assert summary["kept_bytes"] <= budget
-    assert sharded.evictions == 2
+    assert store.evictions == 2
     survivors = [key for key in keys
-                 if os.path.exists(sharded.path(key))]
+                 if os.path.exists(store.path(key))]
     assert survivors == keys[2:]
 
 
-def test_gc_purges_quarantine_even_within_budget(sharded):
-    key = sharded.key("cell", {"a": 1})
-    sharded.put(key, {"value": 1})
-    faults.corrupt_file(sharded.path(key))
-    assert sharded.get(key) is None
-    assert sharded.usage()["quarantined_files"] == 1
-    summary = sharded.gc(10 ** 9)
+def test_gc_purges_quarantine_even_within_budget(store):
+    key = store.key("cell", {"a": 1})
+    store.put(key, {"value": 1})
+    faults.corrupt_file(store.path(key))
+    assert store.get(key) is None
+    assert store.usage()["quarantined_files"] == 1
+    summary = store.gc(10 ** 9)
     assert summary["removed"] == 1          # the quarantined file
-    assert sharded.usage()["quarantined_files"] == 0
-    assert sharded.evictions == 0           # purge is not an eviction
+    assert store.usage()["quarantined_files"] == 0
+    assert store.evictions == 0           # purge is not an eviction
 
 
 def test_hit_refreshes_mtime_so_lru_spares_hot_entries(store):
@@ -214,16 +175,15 @@ def test_hit_refreshes_mtime_so_lru_spares_hot_entries(store):
     assert not os.path.exists(store.path(cold))
 
 
-def test_usage_reports_entries_and_bytes(sharded):
-    assert sharded.usage()["entries"] == 0
-    assert sharded.usage()["kinds"] == {}
+def test_usage_reports_entries_and_bytes(store):
+    assert store.usage()["entries"] == 0
+    assert store.usage()["kinds"] == {}
     for n in range(3):
-        sharded.put(sharded.key("cell", {"n": n}), {"n": n})
-    sharded.put(sharded.key("static_ilp", {"n": 0}), {"n": 0})
-    usage = sharded.usage()
+        store.put(store.key("cell", {"n": n}), {"n": n})
+    store.put(store.key("static_ilp", {"n": 0}), {"n": 0})
+    usage = store.usage()
     assert usage["entries"] == 4
     assert usage["bytes"] > 0
-    assert usage["shards"] == 4
     assert sorted(usage["kinds"]) == ["cell", "static_ilp"]
     assert usage["kinds"]["cell"]["entries"] == 3
     assert usage["kinds"]["static_ilp"]["entries"] == 1
@@ -349,22 +309,21 @@ def test_lock_for_returns_same_object_per_slot(store):
     assert store.lock_for(key) is store.lock_for(key)
 
 
-def test_counters_superset_of_stats(sharded):
-    sharded.get(sharded.key("cell", {"a": 1}))
-    counters = sharded.counters()
-    stats = sharded.stats()
+def test_counters_superset_of_stats(store):
+    store.get(store.key("cell", {"a": 1}))
+    counters = store.counters()
+    stats = store.stats()
     assert set(stats) == {"hits", "misses", "corrupt"}
     for name, value in stats.items():
         assert counters[name] == value
     for name in ("quarantined", "evictions", "races", "contention"):
         assert name in counters
-    assert counters["shards"] == 4
 
 
 # --------------------------------------------------------------------------
-# The or-parallel answer-memo table: entries must survive both
-# backends, corruption must quarantine-and-recompute, and the store's
-# per-kind counters must reconcile with the trace counters.
+# The or-parallel answer-memo table: entries must survive a reopen,
+# corruption must quarantine-and-recompute, and the store's per-kind
+# counters must reconcile with the trace counters.
 
 ORP_SOURCE = """
 color(red). color(green). color(blue).
@@ -383,37 +342,24 @@ def _memo_engine(store):
 
 
 def _memo_entries(root):
-    """Every persisted cache entry under *root* (both layouts)."""
-    paths = []
-    for dirpath, _, names in os.walk(str(root)):
-        if os.path.basename(dirpath) == "quarantine":
-            continue
-        paths.extend(os.path.join(dirpath, name) for name in names
-                     if name.startswith("cas-")
-                     and name.endswith(".json"))
-    return sorted(paths)
+    """Every persisted cache entry under *root*."""
+    return sorted(os.path.join(str(root), name)
+                  for name in os.listdir(str(root))
+                  if name.startswith("cas-") and name.endswith(".json"))
 
 
-@pytest.mark.parametrize("backend", ["plain", "sharded"])
-def test_orparallel_memo_roundtrips_through_both_backends(tmp_path,
-                                                          backend):
+def test_orparallel_memo_roundtrips_through_the_store(tmp_path):
     from repro.interp.orparallel import or_solutions
     root = tmp_path / "memo"
-    if backend == "plain":
-        store = CacheStore(str(root))
-    else:
-        store = ShardedCacheStore(str(root), shards=4)
+    store = CacheStore(str(root))
     with _memo_engine(store) as engine:
         cold = or_solutions(ORP_SOURCE, "pair(X, Y)", engine=engine)
         assert cold["mode"] == "parallel"
-        # call-scope entry + one entry per branch
-        assert len(_memo_entries(root)) == 1 + cold["branches"]
+        # one entry for the whole call, none per branch
+        assert len(_memo_entries(root)) == 1
         # A second store over the same directory (a later process)
         # serves the same bytes without recomputing.
-        if backend == "plain":
-            reopened = CacheStore(str(root))
-        else:
-            reopened = ShardedCacheStore(str(root), shards=4)
+        reopened = CacheStore(str(root))
         warm = or_solutions(ORP_SOURCE, "pair(X, Y)", engine=engine,
                             store=reopened)
         assert warm["mode"] == "memo"
@@ -425,7 +371,7 @@ def test_corrupt_orparallel_memo_is_quarantined_and_recomputed(
         tmp_path):
     from repro.interp.orparallel import or_solutions, sequential_answers
     root = tmp_path / "memo"
-    store = ShardedCacheStore(str(root), shards=4)
+    store = CacheStore(str(root))
     with _memo_engine(store) as engine:
         cold = or_solutions(ORP_SOURCE, "pair(X, Y)", engine=engine)
         for path in _memo_entries(root):
@@ -441,10 +387,10 @@ def test_corrupt_orparallel_memo_is_quarantined_and_recomputed(
     assert recomputed["answers"] == cold["answers"]
     # ...every damaged entry was quarantined for post-mortem, and the
     # recomputed entries are readable again.
-    assert store.corrupt >= 1 + cold["branches"]
-    assert store.quarantined >= 1 + cold["branches"]
+    assert store.corrupt >= 1
+    assert store.quarantined >= 1
     assert os.listdir(os.path.join(store.root, "quarantine"))
-    assert len(_memo_entries(root)) == 1 + cold["branches"]
+    assert len(_memo_entries(root)) == 1
 
 
 def test_orparallel_kind_stats_reconcile_with_trace_counters(
@@ -459,17 +405,15 @@ def test_orparallel_kind_stats_reconcile_with_trace_counters(
     # Call scope: one traced miss then one traced hit.
     assert counters["orparallel.memo.misses"] == 1
     assert counters["orparallel.memo.hits"] == 1
-    # Branch scope: each branch was a cold miss; none re-dispatched.
-    assert counters["orparallel.branch_memo.misses"] == 3
-    assert "orparallel.branch_memo.hits" not in counters
+    # The call scope is the only memo: no other memo counter exists.
+    assert {name for name in counters if name.startswith("orparallel.")
+            and "memo" in name} == {"orparallel.memo.misses",
+                                    "orparallel.memo.hits"}
     # The store's per-kind ledger tells the same story: one hit (the
-    # warm call), misses for the cold call + its three branches (the
-    # single-flight re-check under the lock may add more misses, never
-    # hits).
+    # warm call) and the cold call's miss (the single-flight re-check
+    # under the lock may add more misses, never hits).
     assert stats["hits"] == counters["orparallel.memo.hits"]
-    assert stats["misses"] >= (counters["orparallel.memo.misses"]
-                               + counters["orparallel.branch_memo"
-                                          ".misses"])
+    assert stats["misses"] >= counters["orparallel.memo.misses"]
     assert store.corrupt == 0
 
 
@@ -484,9 +428,7 @@ def _non_lock_files(root):
     return sorted(found)
 
 
-@pytest.mark.parametrize("backend", ["plain", "sharded"])
-def test_cold_evaluation_leaves_only_store_entries(tmp_path, monkeypatch,
-                                                   backend):
+def test_cold_evaluation_leaves_only_store_entries(tmp_path, monkeypatch):
     """Every byte a cold evaluation writes is a store entry: usage()
     accounts for all of it and gc(0) removes all of it."""
     from repro.compaction import sequential, vliw
@@ -496,8 +438,7 @@ def test_cold_evaluation_leaves_only_store_entries(tmp_path, monkeypatch,
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
     monkeypatch.setattr(parallel, "_worker_programs", {})
     monkeypatch.setattr(parallel, "_worker_regions", {})
-    store = CacheStore(str(root)) if backend == "plain" \
-        else ShardedCacheStore(str(root), shards=4)
+    store = CacheStore(str(root))
     with EvaluationEngine(jobs=1, store=store) as engine:
         engine.evaluate("conc30", {"seq": (sequential(), "bb"),
                                    "vliw3": (vliw(3), "trace")})

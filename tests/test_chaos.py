@@ -268,9 +268,10 @@ def test_every_site_at_once(monkeypatch, tmp_path, hermetic, golden):
     assert counts["retried"] >= 1
     assert report.pool_restarts >= 1
 
-    # Warm phase: read-side corruption on the surviving artefacts.
+    # Warm phase: read-side corruption and a transient read error on
+    # the surviving artefacts.
     warm_data, warm_report, warm_store, _ = _chaos(
-        monkeypatch, tmp_path, "cache.read=corrupt:1")
+        monkeypatch, tmp_path, "cache.read=corrupt:1,cache.read=error:1")
     assert warm_data == golden["data"]
     assert warm_store.corrupt == 1
     _confirm(cache, golden)

@@ -383,13 +383,12 @@ def test_cache_stats_lists_kinds_after_cold_evaluate(tmp_path,
 
 
 def test_cache_gc_evicts_to_budget(tmp_path):
-    from repro.evaluation.cache import ShardedCacheStore
-    store = ShardedCacheStore(str(tmp_path / "cas"), shards=2)
+    from repro.evaluation.cache import CacheStore
+    store = CacheStore(str(tmp_path / "cas"))
     for n in range(4):
         store.put(store.key("cell", {"n": n}), {"pad": "x" * 128})
     status, text, errors = run_cli(
-        ["cache", "gc", "--dir", str(tmp_path / "cas"),
-         "--shards", "2", "--budget", "1"])
+        ["cache", "gc", "--dir", str(tmp_path / "cas"), "--budget", "1"])
     assert status == 0, errors
     assert "removed 4" in text
     assert store.usage()["entries"] == 0

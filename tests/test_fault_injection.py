@@ -76,8 +76,7 @@ def test_known_sites_text_is_one_line_per_site():
     assert len(lines) == len(faults.SITES)
     assert any(line.strip().startswith("serve.request:")
                for line in lines)
-    assert any(line.strip().startswith("cache.shard:")
-               for line in lines)
+    assert "  cache.read: corrupt | error" in lines
 
 
 # --------------------------------------------------------------------------

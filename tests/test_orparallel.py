@@ -17,7 +17,7 @@ exactly.  This suite pins that promise three ways:
   on the sequential path.
 
 The answer-memo table is covered here at the engine level (call-scope
-and branch-scope hits, variant call patterns, the limit in the key);
+hits, variant call patterns, the limit in the key);
 its storage contract lives in ``tests/test_cache_store.py`` and the
 crash/hang/error recovery in ``tests/test_chaos.py``.
 """

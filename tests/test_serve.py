@@ -48,8 +48,7 @@ def server():
     patcher.setenv("REPRO_CACHE_DIR", os.path.join(tmp, "suite"))
     patcher.delenv(faults.ENV_SPEC, raising=False)
     patcher.delenv(faults.ENV_STATE, raising=False)
-    patcher.delenv("REPRO_CACHE_SHARDS", raising=False)
-    config = ServiceConfig(jobs=1, shards=4, seed=7,
+    config = ServiceConfig(jobs=1, seed=7,
                            cache_root=os.path.join(tmp, "cas"),
                            queue_limit=16, batch_max=4)
     try:
@@ -233,7 +232,6 @@ def test_metrics_endpoint_exposes_counters(server):
     assert status == 200
     assert payload["counters"]["serve.ok"] >= 1
     assert payload["counters"]["serve.cache_hits"] >= 1
-    assert payload["cache"]["shards"] == 4
     assert "supervisor" in payload
 
 
@@ -241,7 +239,7 @@ def test_metrics_endpoint_exposes_counters(server):
 # Load shedding: a full admission queue answers 429 + Retry-After.
 
 def test_queue_full_sheds_with_retry_after(tmp_path):
-    config = ServiceConfig(jobs=1, shards=1, queue_limit=1,
+    config = ServiceConfig(jobs=1, queue_limit=1,
                            batch_max=1, retry_after=0.5,
                            cache_root=str(tmp_path / "cas"))
     statuses = []
@@ -279,8 +277,7 @@ def test_queue_full_sheds_with_retry_after(tmp_path):
 # Graceful drain.
 
 def test_drain_stops_listener_and_joins(tmp_path):
-    config = ServiceConfig(jobs=1, shards=1,
-                           cache_root=str(tmp_path / "cas"))
+    config = ServiceConfig(jobs=1, cache_root=str(tmp_path / "cas"))
     thread = ServiceThread(config)
     with thread:
         port = thread.port

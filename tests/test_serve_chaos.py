@@ -6,7 +6,7 @@ The acceptance bar of the serving layer, pinned as tests:
   **zero wrong answers** — every response byte-identical to the
   single-shot reference computation — and a warm hit rate over 90%
   on the repeated-query workload;
-* the same holds with ``serve.request`` and ``cache.shard`` faults
+* the same holds with ``serve.request`` and ``cache.read`` faults
   armed (transient failures retry, corruption quarantines and heals);
 * SIGTERM during load drains in-flight requests and exits 0;
 * SIGKILL of a pool worker mid-request trips the circuit breaker and
@@ -54,7 +54,6 @@ def _post(port, op, body, timeout=300):
 def clean_faults(monkeypatch):
     monkeypatch.delenv(faults.ENV_SPEC, raising=False)
     monkeypatch.delenv(faults.ENV_STATE, raising=False)
-    monkeypatch.delenv("REPRO_CACHE_SHARDS", raising=False)
 
 
 # --------------------------------------------------------------------------
@@ -64,8 +63,7 @@ def clean_faults(monkeypatch):
 @pytest.mark.slow
 def test_load_test_2000_requests_byte_identical(clean_faults,
                                                 tmp_path):
-    document = run_load_test(requests=2000, concurrency=64, jobs=2,
-                             shards=8)
+    document = run_load_test(requests=2000, concurrency=64, jobs=2)
     problems = validate_serve_bench(document)
     assert problems == [], problems
     assert document["wrong_answers"] == 0, document["wrong_detail"]
@@ -84,10 +82,9 @@ def test_load_test_under_faults_stays_correct(clean_faults,
     monkeypatch.setenv(
         faults.ENV_SPEC,
         "serve.request=error:3,serve.request=shed:2,"
-        "cache.shard=corrupt:2,cache.shard=error:1")
+        "cache.read=corrupt:2,cache.read=error:1")
     monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "fuses"))
-    document = run_load_test(requests=200, concurrency=32, jobs=2,
-                             shards=8)
+    document = run_load_test(requests=200, concurrency=32, jobs=2)
     problems = validate_serve_bench(document)
     assert problems == [], problems
     assert document["wrong_answers"] == 0, document["wrong_detail"]
@@ -117,7 +114,7 @@ def test_sigterm_during_inflight_request_drains_and_exits_zero(
     env[faults.ENV_STATE] = str(state)
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--jobs", "1", "--shards", "2",
+         "--jobs", "1",
          "--cache-dir", str(tmp_path / "cas")],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=env)
@@ -153,7 +150,7 @@ def test_sigterm_during_inflight_request_drains_and_exits_zero(
 
 def test_worker_sigkill_trips_breaker_and_degrades(clean_faults,
                                                    tmp_path):
-    config = ServiceConfig(jobs=2, shards=2, breaker_threshold=1,
+    config = ServiceConfig(jobs=2, breaker_threshold=1,
                            breaker_cooldown=3600.0, pool_restarts=2,
                            cache_root=str(tmp_path / "cas"))
     with faults.injected("parallel.task=crash:1",
