@@ -1,5 +1,8 @@
 """Benchmark suite driver: compile, emulate, validate, cache.
 
+:func:`compile_program` compiles each distinct source once per
+process, and every caller shares the resulting ``Program``.
+
 Emulating the larger benchmarks costs seconds of host CPU, and the
 evaluation pipeline needs each dynamic profile several times (instruction
 mix, branch statistics, compaction input).  ``run_benchmark`` therefore
@@ -13,7 +16,7 @@ import hashlib
 import os
 
 from repro.benchmarks.programs import PROGRAMS, TABLE_BENCHMARKS
-from repro.bam import compile_source
+from repro.bam import CompilerOptions, compile_source
 from repro.intcode import translate_module
 from repro.emulator import EmulationResult, resolve_backend, run_program
 from repro.interp import Engine
@@ -34,7 +37,18 @@ def cache_dir():
 def program_fingerprint(program):
     """Stable hash of a compiled ICI program: instructions, labels and
     the symbol table (``write(foo)`` and ``write(bar)`` compile to the
-    same instructions; only the atom names differ)."""
+    same instructions; only the atom names differ).
+
+    Computed once per ``Program`` and kept in its ``_fingerprint``
+    slot: programs are never altered once built.
+    """
+    fingerprint = getattr(program, "_fingerprint", None)
+    if fingerprint is None:
+        fingerprint = program._fingerprint = _digest(program)
+    return fingerprint
+
+
+def _digest(program):
     digest = hashlib.sha256()
     for instruction in program.instructions:
         digest.update(repr(instruction).encode())
@@ -75,13 +89,37 @@ def resolve_program(name):
     return catalogue[name]
 
 
+#: (source text, entry, indexing, lco) -> Program.  ``CompilerOptions``
+#: has no value equality, so the key spells out its fields.
+_front_end = {}
+
+
+def compile_program(source, entry=("main", 0), options=None):
+    """Compile Prolog *source* to an ICI program, once per process.
+
+    The result is shared by every caller: treat it as immutable
+    (``optimize_program`` builds a new one).
+    """
+    options = options or CompilerOptions()
+    key = (source, tuple(entry), options.indexing, options.lco)
+    program = _front_end.get(key)
+    if program is None:
+        with observe.span("pipeline.translate") as sp:
+            program = translate_module(
+                compile_source(source, entry, options=options))
+            sp.set(instructions=len(program.instructions))
+        _front_end[key] = program
+    return program
+
+
+def clear_front_end_memo():
+    """Forget every compiled program, so the next compile is fresh."""
+    _front_end.clear()
+
+
 def compile_benchmark(name):
-    """Compile benchmark *name* to an ICI program."""
-    with observe.span("pipeline.translate", benchmark=name) as sp:
-        program = translate_module(
-            compile_source(resolve_program(name).source))
-        sp.set(instructions=len(program.instructions))
-        return program
+    """Compile benchmark *name* to an ICI program (memoised)."""
+    return compile_program(resolve_program(name).source)
 
 
 def run_program_cached(program, key_hint="", backend=None):
@@ -139,6 +177,8 @@ __all__ = [
     "TABLE_BENCHMARKS",
     "suite_catalogue",
     "resolve_program",
+    "compile_program",
+    "clear_front_end_memo",
     "compile_benchmark",
     "run_benchmark",
     "run_program_cached",

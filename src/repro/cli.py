@@ -43,7 +43,9 @@ import os
 import sys
 
 from repro.bam import compile_source, CompilerOptions
-from repro.intcode import translate_module, optimize_program
+from repro.benchmarks.suite import (
+    compile_benchmark, compile_program, run_program_cached)
+from repro.intcode import optimize_program
 from repro.emulator import BACKENDS, run_program
 from repro.compaction import (
     sequential, bam_like, vliw, ideal, symbol3)
@@ -60,17 +62,22 @@ _MACHINES = {
 }
 
 
+def _source(path):
+    with open(path) as handle:
+        return handle.read()
+
+
+def _options(args):
+    return CompilerOptions(indexing=not args.no_indexing,
+                           lco=not args.no_lco)
+
+
 def _load(args):
-    with open(args.file) as handle:
-        source = handle.read()
-    options = CompilerOptions(indexing=not args.no_indexing,
-                              lco=not args.no_lco)
-    module = compile_source(source, entry=(args.entry, 0),
-                            options=options)
-    program = translate_module(module)
+    program = compile_program(_source(args.file), (args.entry, 0),
+                              _options(args))
     if args.optimize:
         program, _ = optimize_program(program)
-    return module, program
+    return program
 
 
 def _add_compile_flags(parser):
@@ -86,7 +93,7 @@ def _add_compile_flags(parser):
 
 
 def cmd_run(args, out, err):
-    _, program = _load(args)
+    program = _load(args)
     result = run_program(program, max_steps=args.max_steps)
     out.write(result.output)
     if args.stats:
@@ -96,8 +103,10 @@ def cmd_run(args, out, err):
 
 
 def cmd_listing(args, out, err):
-    module, program = _load(args)
+    program = _load(args)
     if args.level in ("bam", "both"):
+        module = compile_source(_source(args.file), (args.entry, 0),
+                                options=_options(args))
         out.write(module.listing() + "\n")
     if args.level in ("ici", "both"):
         out.write(program.listing() + "\n")
@@ -106,7 +115,7 @@ def cmd_listing(args, out, err):
 
 def cmd_speedup(args, out, err):
     import repro
-    _, program = _load(args)
+    program = _load(args)
     for name in args.machine:
         config = _MACHINES[name]()
         regioning = "bb" if name in ("seq", "bam") else "trace"
@@ -125,7 +134,7 @@ def cmd_analyze(args, out, err):
 def _analyze_file(args, out, err):
     """Per-file analysis: instruction mix + branch statistics."""
     from repro.analysis.branch_stats import branch_records, average_p_fp
-    _, program = _load(args)
+    program = _load(args)
     result = run_program(program, max_steps=args.max_steps)
     totals = {MEM: 0, ALU: 0, MOVE: 0, CTRL: 0}
     for pc, count in enumerate(result.counts):
@@ -503,7 +512,7 @@ def _emit_diagnostics_json(tool, entries, out, err):
 def cmd_lint(args, out, err):
     from repro.analysis import lint_program, format_diagnostics
     from repro.analysis.report import target_entry
-    _, program = _load(args)
+    program = _load(args)
     diagnostics = lint_program(program)
     if args.format == "json":
         broken = _emit_diagnostics_json(
@@ -594,16 +603,11 @@ def cmd_corpus(args, out, err):
 
 def _verify_target(spec):
     """Run the independent checker over one target (pool worker)."""
-    from repro.benchmarks.suite import compile_benchmark, \
-        run_program_cached
     from repro.evaluation.pipeline import verify_evaluation
 
     if "file" in spec:
-        with open(spec["file"]) as handle:
-            source = handle.read()
-        module = compile_source(source, entry=(spec["entry"], 0),
-                                options=CompilerOptions())
-        program = translate_module(module)
+        program = compile_program(_source(spec["file"]),
+                                  (spec["entry"], 0))
         if spec["optimize"]:
             program, _ = optimize_program(program)
     else:

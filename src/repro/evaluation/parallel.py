@@ -59,7 +59,8 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.benchmarks.suite import (
-    compile_benchmark, program_fingerprint, run_program_cached)
+    clear_front_end_memo, compile_benchmark, program_fingerprint,
+    run_program_cached)
 from repro.emulator import resolve_backend
 # Re-exported for compatibility: the store grew into its own module.
 from repro.evaluation.cache import (        # noqa: F401
@@ -226,12 +227,22 @@ def memoised(kind, components, compute, store=None, use_cache=True):
 
 # --------------------------------------------------------------------------
 # Worker-side task execution.  Module-level so the pool can pickle the
-# entry point by reference; per-process memos let the cells of one
-# benchmark assigned to the same worker share the compiled program and
-# its region sets.
+# entry point by reference.  The compiled program comes from the
+# front-end memo (``compile_benchmark``); per-process memos let the
+# cells of one benchmark assigned to the same worker share its profile
+# and region sets.
 
-_worker_programs = {}
+_worker_profiles = {}
 _worker_regions = {}
+
+
+def _worker_init():
+    """Pool initializer.  A forked worker inherits the coordinator's
+    front-end memo; emptying it makes the worker compile each source
+    itself, so the fingerprint check in :func:`_worker_program`
+    compares two independent compiles."""
+    faults.mark_worker()
+    clear_front_end_memo()
 
 
 def _worker_program(name, fingerprint):
@@ -239,20 +250,20 @@ def _worker_program(name, fingerprint):
     # records which backend produced it, so a backend switch between
     # in-process runs must not serve a stale-provenance entry.
     backend = resolve_backend(None)
-    entry = _worker_programs.get(name)
+    program = compile_benchmark(name)
+    compiled = program_fingerprint(program)
+    if compiled != fingerprint:
+        raise RuntimeError(
+            "benchmark %r compiled to fingerprint %s in the worker, "
+            "expected %s — non-deterministic compilation?"
+            % (name, compiled, fingerprint))
+    entry = _worker_profiles.get(name)
     if entry is None or entry[0] != (fingerprint, backend):
-        program = compile_benchmark(name)
-        compiled = program_fingerprint(program)
-        if compiled != fingerprint:
-            raise RuntimeError(
-                "benchmark %r compiled to fingerprint %s in the worker, "
-                "expected %s — non-deterministic compilation?"
-                % (name, compiled, fingerprint))
         result = run_program_cached(program, name + "-", backend)
-        entry = ((fingerprint, backend), program, result)
-        _worker_programs[name] = entry
+        entry = ((fingerprint, backend), result)
+        _worker_profiles[name] = entry
         _worker_regions.clear()
-    return entry[1], entry[2]
+    return program, entry[1]
 
 
 def _worker_region_set(name, fingerprint, regioning, budget):
@@ -385,7 +396,6 @@ class EvaluationEngine:
         self.policy = policy or SupervisorPolicy()
         self.report = EvaluationReport()
         self._pool = None
-        self._programs = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -401,7 +411,7 @@ class EvaluationEngine:
     def _executor(self):
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=faults.mark_worker)
+                max_workers=self.jobs, initializer=_worker_init)
         return self._pool
 
     def _abandon_pool(self, kill=False):
@@ -550,13 +560,6 @@ class EvaluationEngine:
 
     # -- DAG construction --------------------------------------------------
 
-    def _program_fingerprint(self, name):
-        fingerprint = self._programs.get(name)
-        if fingerprint is None:
-            fingerprint = program_fingerprint(compile_benchmark(name))
-            self._programs[name] = fingerprint
-        return fingerprint
-
     def _intern(self, nodes, kind, label, spec, components, verify):
         key = artefact_key(self.store, kind, components)
         node = nodes.get(key)
@@ -568,7 +571,7 @@ class EvaluationEngine:
         return node
 
     def _add_profile_node(self, nodes, name, verify):
-        fingerprint = self._program_fingerprint(name)
+        fingerprint = program_fingerprint(compile_benchmark(name))
         return self._intern(
             nodes, "profile", "%s/profile" % name,
             {"kind": "profile", "benchmark": name,
@@ -581,7 +584,7 @@ class EvaluationEngine:
         configs = request["configs"]
         budget = request.get("tail_dup_budget", 48)
         verify = request.get("verify", False)
-        fingerprint = self._program_fingerprint(name)
+        fingerprint = program_fingerprint(compile_benchmark(name))
         profile_node = self._add_profile_node(nodes, name, verify)
 
         region_nodes = {}

@@ -92,18 +92,16 @@ def sweep_target(spec):
     import re
 
     from repro.analysis.driver import _cycles_cell, _limit_cell
-    from repro.bam import compile_source
     from repro.benchmarks.suite import (
-        program_fingerprint, run_program_cached)
+        compile_program, program_fingerprint, run_program_cached)
     from repro.compaction.machine_model import ideal, sequential
     from repro.evaluation.pipeline import (
         basic_block_regions, superblock_regions, verify_evaluation)
-    from repro.intcode import translate_module
     from repro.interp import Engine
 
     name = spec["name"]
     budget = spec["budget"]
-    program = translate_module(compile_source(spec["source"]))
+    program = compile_program(spec["source"])
     fingerprint = program_fingerprint(program)
     hint = name + "-"
 

@@ -11,17 +11,24 @@ machine.  The ratio of cycle counts is the reproducible part of the
 paper's "factor of three" (the rest came from clock technology).
 """
 
-from repro.bam import compile_source, CompilerOptions
-from repro.intcode import translate_module
+from repro.bam import CompilerOptions
 from repro.compaction import sequential
 from repro.evaluation.parallel import memoised, shared_engine
 from repro.evaluation.pipeline import basic_block_regions, machine_cycles
 from repro.benchmarks import PROGRAMS, run_program_cached
-from repro.benchmarks.suite import program_fingerprint
+from repro.benchmarks.suite import compile_program, program_fingerprint
 from repro.experiments.render import render_table, fmt
 
 DEFAULT_BENCHMARKS = ["conc30", "nreverse", "qsort", "serialise",
                       "queens_8", "divide10", "times10", "mu"]
+
+
+def _compiled_pair(name):
+    """*name* compiled BAM-style and Warren-style."""
+    source = PROGRAMS[name].source
+    return (compile_program(source),
+            compile_program(source, options=CompilerOptions(
+                indexing=False, lco=False)))
 
 
 def _seq_cycles(program, hint):
@@ -33,10 +40,7 @@ def _seq_cycles(program, hint):
 def benchmark_ratio(name):
     """(BAM-style cycles, Warren-style cycles, output check) for one
     benchmark."""
-    source = PROGRAMS[name].source
-    bam_program = translate_module(compile_source(source))
-    wam_program = translate_module(compile_source(
-        source, options=CompilerOptions(indexing=False, lco=False)))
+    bam_program, wam_program = _compiled_pair(name)
     bam_cycles, bam_result = _seq_cycles(bam_program, name + "-")
     wam_cycles, wam_result = _seq_cycles(wam_program, name + "-wam-")
     if (wam_result.status, wam_result.output) != (bam_result.status,
@@ -48,18 +52,15 @@ def benchmark_ratio(name):
 
 def _ratio_cell(name):
     """Content-cached :func:`benchmark_ratio` for one benchmark."""
-    source = PROGRAMS[name].source
-    bam_fingerprint = program_fingerprint(
-        translate_module(compile_source(source)))
-    wam_fingerprint = program_fingerprint(translate_module(compile_source(
-        source, options=CompilerOptions(indexing=False, lco=False))))
+    bam_program, wam_program = _compiled_pair(name)
 
     def compute_cell():
         bam_cycles, wam_cycles = benchmark_ratio(name)
         return {"bam_cycles": bam_cycles, "wam_cycles": wam_cycles}
 
-    return memoised("wam", {"bam_fingerprint": bam_fingerprint,
-                            "wam_fingerprint": wam_fingerprint},
+    return memoised("wam",
+                    {"bam_fingerprint": program_fingerprint(bam_program),
+                     "wam_fingerprint": program_fingerprint(wam_program)},
                     compute_cell)
 
 

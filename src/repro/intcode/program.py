@@ -19,13 +19,15 @@ class Program:
         self.symbols = symbols        # SymbolTable
         self.entry = entry
         self.comments = comments or {}  # instruction index -> str
-        # Execution caches, filled lazily by the emulator layer: the
-        # pre-decoded instruction tuples (repro.emulator.machine.decode)
-        # and the compiled function (repro.emulator.codegen).  Programs
-        # are immutable once built, so both live for the object's
+        # Caches filled lazily by later layers: the pre-decoded
+        # instruction tuples (repro.emulator.machine.decode), the
+        # compiled function (repro.emulator.codegen) and the content
+        # hash (repro.benchmarks.suite.program_fingerprint).  Programs
+        # are immutable once built, so all three live for the object's
         # lifetime.
         self._decoded = None
         self._codegen = None
+        self._fingerprint = None
 
     def __len__(self):
         return len(self.instructions)

@@ -82,6 +82,18 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.tier1)
 
 
+def fresh_memos(monkeypatch):
+    """Give the test empty per-process memos, as a new process has: the
+    front-end memo (so the next compile of every source is a real one)
+    and the worker's profile and region memos.  *monkeypatch* restores
+    the memos in place before when the test ends."""
+    from repro.benchmarks import suite
+    from repro.evaluation import parallel
+    monkeypatch.setattr(suite, "_front_end", {})
+    monkeypatch.setattr(parallel, "_worker_profiles", {})
+    monkeypatch.setattr(parallel, "_worker_regions", {})
+
+
 @pytest.fixture
 def engine():
     return Engine()

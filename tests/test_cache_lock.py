@@ -15,9 +15,9 @@ import pytest
 from repro.atomicio import (
     FileLock, LockTimeout, atomic_write_json, atomic_write_text)
 from repro.compaction import sequential, vliw
-from repro.evaluation import parallel
 from repro.evaluation.parallel import CacheStore, EvaluationEngine
 from repro.evaluation.supervisor import SupervisorPolicy
+from tests.conftest import fresh_memos
 
 pytestmark = pytest.mark.chaos
 
@@ -129,8 +129,7 @@ def test_concurrent_engines_share_a_cache_without_damage(
         monkeypatch, tmp_path):
     """Two evaluate_many sweeps racing on one cold cache directory both
     finish, agree, and leave artefacts byte-identical to a solo run."""
-    monkeypatch.setattr(parallel, "_worker_programs", {})
-    monkeypatch.setattr(parallel, "_worker_regions", {})
+    fresh_memos(monkeypatch)
     baseline_root = tmp_path / "baseline"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(baseline_root))
     baseline = _sweep(baseline_root)
@@ -138,8 +137,7 @@ def test_concurrent_engines_share_a_cache_without_damage(
     shared = tmp_path / "shared"
     shared.mkdir()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(shared))
-    monkeypatch.setattr(parallel, "_worker_programs", {})
-    monkeypatch.setattr(parallel, "_worker_regions", {})
+    fresh_memos(monkeypatch)
     outcomes = [None, None]
 
     def race(slot):

@@ -19,6 +19,7 @@ from repro.evaluation.cache import CacheStore
 from repro.evaluation import cache as cache_module
 from repro.evaluation.parallel import memoised
 from repro.testing import faults
+from tests.conftest import fresh_memos
 
 
 @pytest.fixture
@@ -432,12 +433,10 @@ def test_cold_evaluation_leaves_only_store_entries(tmp_path, monkeypatch):
     """Every byte a cold evaluation writes is a store entry: usage()
     accounts for all of it and gc(0) removes all of it."""
     from repro.compaction import sequential, vliw
-    from repro.evaluation import parallel
     from repro.evaluation.parallel import EvaluationEngine
     root = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-    monkeypatch.setattr(parallel, "_worker_programs", {})
-    monkeypatch.setattr(parallel, "_worker_regions", {})
+    fresh_memos(monkeypatch)
     store = CacheStore(str(root))
     with EvaluationEngine(jobs=1, store=store) as engine:
         engine.evaluate("conc30", {"seq": (sequential(), "bb"),

@@ -33,6 +33,7 @@ from repro.evaluation import parallel
 from repro.evaluation.parallel import CacheStore, EvaluationEngine
 from repro.evaluation.supervisor import SupervisorPolicy
 from repro.testing import faults
+from tests.conftest import fresh_memos
 
 pytestmark = pytest.mark.chaos
 
@@ -84,23 +85,12 @@ def golden(tmp_path_factory):
     """Fault-free evaluation: the numbers and artefact bytes every
     chaos scenario must reproduce exactly."""
     root = tmp_path_factory.mktemp("golden")
-    saved = {name: os.environ.get(name)
-             for name in ("REPRO_CACHE_DIR", faults.ENV_SPEC,
-                          faults.ENV_STATE)}
-    os.environ["REPRO_CACHE_DIR"] = str(root)
-    os.environ.pop(faults.ENV_SPEC, None)
-    os.environ.pop(faults.ENV_STATE, None)
-    memos = (parallel._worker_programs, parallel._worker_regions)
-    parallel._worker_programs, parallel._worker_regions = {}, {}
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(root))
+        patch.delenv(faults.ENV_SPEC, raising=False)
+        patch.delenv(faults.ENV_STATE, raising=False)
+        fresh_memos(patch)
         data, report, _ = _evaluate(root, jobs=1, policy=_policy())
-    finally:
-        parallel._worker_programs, parallel._worker_regions = memos
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
     assert report.counts()["failed"] == 0
     return {"data": data, "artefacts": _artefacts(root)}
 
@@ -108,8 +98,7 @@ def golden(tmp_path_factory):
 @pytest.fixture
 def hermetic(monkeypatch):
     """Fresh per-process memos so no scenario inherits another's state."""
-    monkeypatch.setattr(parallel, "_worker_programs", {})
-    monkeypatch.setattr(parallel, "_worker_regions", {})
+    fresh_memos(monkeypatch)
 
 
 def _chaos(monkeypatch, tmp_path, spec, jobs=1, policy=None,

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main, build_parser
+from tests.conftest import fresh_memos
 
 SOURCE = """
 app([], L, L).
@@ -270,15 +271,13 @@ def test_evaluate_profile_backend_follows_env_override(
     """A warm cache written under one backend must not masquerade as
     the profile provenance of a sweep run under the other."""
     from repro.emulator import machine
-    from repro.evaluation import parallel
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     # every run of the codegen route compiles, so the provenance it
     # records is codegen's own
     monkeypatch.setattr(machine, "_COMPILE_AFTER_STEPS", 0)
     for backend in ("reference", "codegen", "reference"):
         monkeypatch.setenv("REPRO_EMULATOR_BACKEND", backend)
-        monkeypatch.setattr(parallel, "_worker_programs", {})
-        monkeypatch.setattr(parallel, "_worker_regions", {})
+        fresh_memos(monkeypatch)
         status, text, errors = run_cli(
             ["evaluate", "--jobs", "1", "--bench", "conc30"])
         assert status == 0, errors
@@ -367,10 +366,8 @@ def test_cache_stats_on_fresh_directory(tmp_path):
 
 def test_cache_stats_lists_kinds_after_cold_evaluate(tmp_path,
                                                       monkeypatch):
-    from repro.evaluation import parallel
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(parallel, "_worker_programs", {})
-    monkeypatch.setattr(parallel, "_worker_regions", {})
+    fresh_memos(monkeypatch)
     status, _text, errors = run_cli(
         ["evaluate", "--jobs", "1", "--bench", "conc30"])
     assert status == 0, errors

@@ -16,6 +16,7 @@ from repro.compaction import sequential, vliw
 from repro.evaluation import parallel
 from repro.evaluation.parallel import (
     CacheStore, EvaluationEngine, EvaluationError)
+from tests.conftest import fresh_memos
 
 BENCHMARKS = ["conc30", "divide10"]
 
@@ -61,8 +62,7 @@ def _run(monkeypatch, cache_root, jobs=1, benchmarks=("conc30",),
     # Hermetic runs: drop the per-process worker memos so in-process
     # execution (and forked workers) cannot reuse state from an earlier
     # test's sweep.
-    monkeypatch.setattr(parallel, "_worker_programs", {})
-    monkeypatch.setattr(parallel, "_worker_regions", {})
+    fresh_memos(monkeypatch)
     store = CacheStore()
     with EvaluationEngine(jobs=jobs, store=store,
                           policy=_fast_policy()) as engine:

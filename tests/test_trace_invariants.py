@@ -23,13 +23,13 @@ import sys
 import pytest
 
 import repro
-from repro.evaluation import parallel
 from repro.evaluation.parallel import CacheStore, EvaluationEngine
 from repro.evaluation.supervisor import SupervisorPolicy
 from repro.observability import (
     Tracer, activation, render_trace, trace_lines, validate_trace,
     load_trace, summarize_trace, write_trace)
 from repro.testing import faults
+from tests.conftest import fresh_memos
 
 BENCH = "conc30"
 
@@ -48,8 +48,7 @@ def _policy():
 def _sweep(monkeypatch, cache_root, jobs=1):
     """One fresh-engine evaluate_many sweep; (engine, evaluations)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_root))
-    monkeypatch.setattr(parallel, "_worker_programs", {})
-    monkeypatch.setattr(parallel, "_worker_regions", {})
+    fresh_memos(monkeypatch)
     store = CacheStore()
     with EvaluationEngine(jobs=jobs, store=store,
                           policy=_policy()) as engine:
