@@ -1,7 +1,8 @@
 """Benchmark suite driver: compile, emulate, validate, cache.
 
 :func:`compile_program` compiles each distinct source once per
-process, and every caller shares the resulting ``Program``.
+process (a bounded, least-recently-used memo), and every caller shares
+the resulting ``Program``.
 
 Emulating the larger benchmarks costs seconds of host CPU, and the
 evaluation pipeline needs each dynamic profile several times (instruction
@@ -14,6 +15,7 @@ ever.
 
 import hashlib
 import os
+from collections import OrderedDict
 
 from repro.benchmarks.programs import PROGRAMS, TABLE_BENCHMARKS
 from repro.bam import CompilerOptions, compile_source
@@ -89,13 +91,21 @@ def resolve_program(name):
     return catalogue[name]
 
 
-#: (source text, entry, indexing, lco) -> Program.  ``CompilerOptions``
-#: has no value equality, so the key spells out its fields.
-_front_end = {}
+#: programs the front-end memo keeps: the whole catalogue (25) plus
+#: the Warren-style variants ``wam_baseline`` compiles, with room over
+#: for a few ad hoc sources
+FRONT_END_LIMIT = 64
+
+#: (source text, entry, indexing, lco) -> Program, least recently used
+#: first.  ``CompilerOptions`` has no value equality, so the key spells
+#: out its fields.
+_front_end = OrderedDict()
 
 
 def compile_program(source, entry=("main", 0), options=None):
-    """Compile Prolog *source* to an ICI program, once per process.
+    """Compile Prolog *source* to an ICI program, once per process
+    while it stays among the :data:`FRONT_END_LIMIT` most recently
+    used.
 
     The result is shared by every caller: treat it as immutable
     (``optimize_program`` builds a new one).
@@ -103,12 +113,16 @@ def compile_program(source, entry=("main", 0), options=None):
     options = options or CompilerOptions()
     key = (source, tuple(entry), options.indexing, options.lco)
     program = _front_end.get(key)
-    if program is None:
-        with observe.span("pipeline.translate") as sp:
-            program = translate_module(
-                compile_source(source, entry, options=options))
-            sp.set(instructions=len(program.instructions))
-        _front_end[key] = program
+    if program is not None:
+        _front_end.move_to_end(key)
+        return program
+    with observe.span("pipeline.translate") as sp:
+        program = translate_module(
+            compile_source(source, entry, options=options))
+        sp.set(instructions=len(program.instructions))
+    _front_end[key] = program
+    if len(_front_end) > FRONT_END_LIMIT:
+        _front_end.popitem(last=False)
     return program
 
 

@@ -12,6 +12,7 @@
     python -m repro bench [--quick]           # time emulator backends
     python -m repro bench --backend codegen --backend reference mu
     python -m repro evaluate [--extras]       # the paper's tables/figures
+    python -m repro evaluate --extras --output results  # regenerate
     python -m repro evaluate --jobs 4 --bench qsort --bench nreverse
     python -m repro evaluate --bench conc30 --trace trace.jsonl
     python -m repro trace summary trace.jsonl # inspect a recorded trace
@@ -383,13 +384,22 @@ def cmd_evaluate(args, out, err):
 
 def _cmd_evaluate(args, out, err):
     from repro.evaluation.parallel import configure
-    from repro.experiments import run_all
+    from repro.experiments import run_all, write_results
+    if args.bench and args.output:
+        err.write("evaluate: --output writes the paper's artefacts; "
+                  "the --bench smoke table is not one\n")
+        return 2
     engine = configure(jobs=_resolve_jobs(args),
                        policy=_supervisor_policy(args))
     if args.bench:
         return _evaluate_smoke(args, engine, out, err)
-    for name, text in run_all(extras=args.extras).items():
-        out.write(text + "\n\n")
+    texts = run_all(extras=args.extras)
+    if args.output:
+        for path in write_results(texts, args.output):
+            out.write("wrote %s\n" % path)
+    else:
+        for text in texts.values():
+            out.write(text + "\n\n")
     _report_profile_backends(out)
     _write_supervisor_report(args, engine, out)
     return 0
@@ -1017,6 +1027,10 @@ def build_parser():
                    help="record a structured trace of the sweep "
                         "(spans + metrics) as JSONL at PATH; see "
                         "'repro trace summary'")
+    p.add_argument("--output", metavar="DIR",
+                   help="write each table/figure to its committed "
+                        "file name under DIR (e.g. results) instead "
+                        "of printing it")
     _add_supervisor_flags(p)
     p.set_defaults(func=cmd_evaluate)
 

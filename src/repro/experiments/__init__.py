@@ -2,6 +2,9 @@
 the beyond-the-paper studies (ablations, future-work projections,
 register pressure)."""
 
+import os
+
+from repro.atomicio import atomic_write_text
 from repro.experiments import (
     data, figure2, figure3, figure4, table1, table2, table3, table4,
     table5, ablations, future_work, registers, static_ilp, wam_baseline)
@@ -27,7 +30,25 @@ EXTRA_EXPERIMENTS = {
     "wam_baseline": wam_baseline,
 }
 
-__all__ = (["data", "ALL_EXPERIMENTS", "EXTRA_EXPERIMENTS"]
+#: each rendered text -> its committed file under ``results/``
+RESULT_FILES = {
+    "figure2": "figure2.txt",
+    "figure3": "figure3.txt",
+    "table1": "table1.txt",
+    "table2": "table2.txt",
+    "figure4": "figure4.txt",
+    "table3": "table3_figure6.txt",
+    "table4": "table4.txt",
+    "table5": "table5.txt",
+    "ablations": "ablations.txt",
+    "future_work": "future_work.txt",
+    "registers": "register_pressure.txt",
+    "static_ilp": "table_static_ilp.txt",
+    "wam_baseline": "wam_baseline.txt",
+}
+
+__all__ = (["data", "ALL_EXPERIMENTS", "EXTRA_EXPERIMENTS",
+            "RESULT_FILES", "run_all", "write_results"]
            + sorted(ALL_EXPERIMENTS) + sorted(EXTRA_EXPERIMENTS))
 
 
@@ -50,3 +71,16 @@ def run_all(extras=False, jobs=None):
                 or getattr(module, "render_all")
             out[name] = render()
     return out
+
+
+def write_results(texts, directory):
+    """Write each ``{name: text}`` of :func:`run_all` to its
+    :data:`RESULT_FILES` name under *directory*, as the text plus a
+    newline; returns the paths written."""
+    os.makedirs(directory, exist_ok=True)
+    paths = []
+    for name, text in texts.items():
+        path = os.path.join(directory, RESULT_FILES[name])
+        atomic_write_text(path, text + "\n")
+        paths.append(path)
+    return paths

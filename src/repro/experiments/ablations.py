@@ -12,10 +12,17 @@ These go beyond the paper's tables and quantify its central assumptions:
   insertion").
 * ``tail_dup_budget`` — sweep the compensation-code budget: the
   trace-length / code-growth trade-off of section 4.4.
+* ``optimizer`` — run the block-local ICI optimiser (copy propagation,
+  constant reuse, dead moves) before scheduling.  The paper's pipeline
+  defers such clean-ups to the back-end; this measures how much the
+  naive expansion leaves on the table.
 """
 
+from repro.benchmarks import compile_benchmark, run_program_cached
 from repro.compaction import sequential, vliw
 from repro.evaluation.parallel import shared_engine
+from repro.evaluation.pipeline import machine_cycles, superblock_regions
+from repro.intcode import optimize_program
 from repro.experiments.render import render_table, fmt
 
 #: representative subset (full sweep would multiply evaluation time)
@@ -97,12 +104,38 @@ def tail_dup_budget(benchmarks=None, budgets=(0, 16, 48, 128)):
     return rows
 
 
+def optimizer(benchmarks=None):
+    """Per benchmark: static and dynamic ICI counts before and after
+    the optimiser, the 3-unit cycle gain it buys, and whether the
+    optimised program still prints the same output."""
+    rows = {}
+    for name in benchmarks or DEFAULT_BENCHMARKS:
+        program = compile_benchmark(name)
+        optimized, stats = optimize_program(program)
+        base = run_program_cached(program, name + "-")
+        opt = run_program_cached(optimized, name + "-opt-")
+        base_cycles = machine_cycles(
+            superblock_regions(program, base, cache_hint=name + "-"),
+            vliw(3))
+        opt_cycles = machine_cycles(
+            superblock_regions(optimized, opt, cache_hint=name + "-opt-"),
+            vliw(3))
+        rows[name] = {"static": (len(program), len(optimized)),
+                      "dynamic": (base.steps, opt.steps),
+                      "ratio": base_cycles / opt_cycles,
+                      "same_output": ((opt.status, opt.output)
+                                      == (base.status, base.output)),
+                      "stats": stats}
+    return rows
+
+
 def render_all():
     """Render every ablation as one text report."""
     ports = memory_ports()
     spec = speculation()
     moves = inter_unit_moves()
     budgets = tail_dup_budget()
+    optimized = optimizer()
     sections = [
         render_table(
             "Ablation -- shared-memory ports (4-unit machine)",
@@ -126,5 +159,13 @@ def render_all():
             ["budget (ops)", "avg speedup", "avg region length"],
             [[row["budget"], fmt(row["speedup"]), fmt(row["length"], 1)]
              for row in budgets]),
+        render_table(
+            "Ablation -- block-local ICI optimiser (3 units)",
+            ["benchmark", "static ops", "dynamic ops", "cycle gain",
+             "propagated", "reused", "removed"],
+            [[name, "%d->%d" % row["static"], "%d->%d" % row["dynamic"],
+              fmt(row["ratio"]) + "x", row["stats"].copies_propagated,
+              row["stats"].constants_reused, row["stats"].dead_removed]
+             for name, row in optimized.items()]),
     ]
     return "\n\n".join(sections)

@@ -87,9 +87,10 @@ def fresh_memos(monkeypatch):
     front-end memo (so the next compile of every source is a real one)
     and the worker's profile and region memos.  *monkeypatch* restores
     the memos in place before when the test ends."""
+    from collections import OrderedDict
     from repro.benchmarks import suite
     from repro.evaluation import parallel
-    monkeypatch.setattr(suite, "_front_end", {})
+    monkeypatch.setattr(suite, "_front_end", OrderedDict())
     monkeypatch.setattr(parallel, "_worker_profiles", {})
     monkeypatch.setattr(parallel, "_worker_regions", {})
 

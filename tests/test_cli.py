@@ -240,6 +240,37 @@ def test_evaluate_survives_an_injected_transient_fault(
 
 
 # --------------------------------------------------------------------------
+# evaluate --output: the one way results/ is regenerated.
+
+@pytest.mark.parametrize("extras", [False, True])
+def test_evaluate_output_writes_each_committed_file(tmp_path, extras):
+    from repro.experiments import (
+        ALL_EXPERIMENTS, EXTRA_EXPERIMENTS, RESULT_FILES)
+    status, text, errors = run_cli(
+        ["evaluate", "--jobs", "1", "--output", str(tmp_path)]
+        + ["--extras"] * extras)
+    assert status == 0, errors
+    modules = dict(ALL_EXPERIMENTS, **(EXTRA_EXPERIMENTS if extras
+                                       else {}))
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(RESULT_FILES[name] for name in modules)
+    assert text.count("wrote ") == len(modules)
+    for name, module in modules.items():
+        render = getattr(module, "render", None) or module.render_all
+        assert (tmp_path / RESULT_FILES[name]).read_text() \
+            == render() + "\n", name
+
+
+def test_evaluate_output_refuses_the_smoke_table(tmp_path):
+    target = tmp_path / "results"
+    status, text, errors = run_cli(
+        ["evaluate", "--bench", "conc30", "--output", str(target)])
+    assert status == 2
+    assert "--output" in errors
+    assert not target.exists()
+
+
+# --------------------------------------------------------------------------
 # REPRO_EMULATOR_BACKEND is honoured consistently: the backend recorded
 # in the bench document and in evaluate's profile provenance always
 # matches the active override, even against warm caches produced under

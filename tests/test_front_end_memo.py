@@ -69,6 +69,23 @@ def test_one_compile_per_source_entry_and_options(monkeypatch):
     assert len(calls) == 4
 
 
+def test_memo_keeps_the_most_recently_used_up_to_its_bound(monkeypatch):
+    fresh_memos(monkeypatch)
+    calls = spy_translate(monkeypatch)
+    sources = ["p(%d). main :- p(X), write(X), nl." % index
+               for index in range(suite.FRONT_END_LIMIT + 3)]
+    first = compile_program(sources[0])
+    for source in sources[1:]:
+        compile_program(sources[0])     # keep the first one in use
+        compile_program(source)
+    assert len(suite._front_end) == suite.FRONT_END_LIMIT
+    assert len(calls) == len(sources)
+    assert compile_program(sources[0]) is first
+    compile_program(sources[1])         # evicted: compiled again
+    assert len(calls) == len(sources) + 1
+    assert len(suite._front_end) == suite.FRONT_END_LIMIT
+
+
 def test_swapped_source_under_one_name_compiles_afresh(monkeypatch):
     fresh_memos(monkeypatch)
     calls = spy_translate(monkeypatch)
@@ -188,6 +205,7 @@ def test_warm_run_all_compiles_each_program_once(warm_run_all):
     memo = warm_run_all["memo"]
     sources = {key[0] for key in memo}
     assert len(sources) >= len(data.table_benchmarks())
+    assert len(memo) <= suite.FRONT_END_LIMIT
     assert warm_run_all["calls"] == len(memo)
     assert warm_run_all["warm"] == warm_run_all["cold"]
 
