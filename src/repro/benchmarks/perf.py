@@ -1,27 +1,27 @@
 """Emulator performance measurement: the ``repro bench`` harness.
 
-Times the emulator backends over (a subset of) the paper suite and
-emits ``BENCH_emulator.json``, the repository's perf-trajectory record:
-per-benchmark wall time and ICI throughput for each backend, the
-backend-vs-reference speedups, and enough provenance (git revision,
-Python version, repeat count, producing backend per row) to compare
-runs across commits.  CI validates the document against
-:func:`validate_bench` and archives it; no timing gate is applied —
-the file is a trajectory, not a pass/fail check.
+Times both emulator loops (``codegen`` and ``reference``) over (a
+subset of) the paper suite and emits ``BENCH_emulator.json``, the
+repository's perf-trajectory record: per-benchmark wall time and ICI
+throughput for each loop, the codegen-vs-reference speedups, and
+enough provenance (git revision, Python version, repeat count,
+producing loop per row) to compare runs across commits.  CI
+validates the document against :func:`validate_bench` and archives
+it; no timing gate is applied — the file is a trajectory, not a
+pass/fail check.
 
-Every timed run also cross-checks all backends' results field by
-field, so a perf run doubles as a differential test.  Each backend
-row additionally records ``produced_by`` — the backend that actually
+Every timed run also cross-checks both loops' results field by
+field, so a perf run doubles as a differential test.  Each loop's row
+additionally records ``produced_by`` — the loop that actually
 produced the profile (:attr:`EmulationResult.backend`) — which is how
 a silent codegen fallback to the reference loop becomes visible in
 the record.
 
-Timing is *interleaved*: rather than timing backend A's repeats and
-then backend B's, each repeat round times every backend once and the
-best round per backend wins.  Thermal throttling drifts wall time by
-tens of percent over a bench run; interleaving puts every backend
-under the same drift instead of charging it all to whichever ran
-last.
+Timing is *interleaved*: rather than timing loop A's repeats and
+then loop B's, each repeat round times every loop once and the best
+round per loop wins.  Thermal throttling drifts wall time by tens of
+percent over a bench run; interleaving puts every loop under the same
+drift instead of charging it all to whichever ran last.
 """
 
 import platform
@@ -32,8 +32,7 @@ import timeit
 from repro.atomicio import atomic_write_json
 from repro.benchmarks.programs import TABLE_BENCHMARKS
 from repro.benchmarks.suite import compile_benchmark
-from repro.emulator import (
-    BACKENDS, CodegenEmulator, Emulator, resolve_backend)
+from repro.emulator import BACKENDS, CodegenEmulator, Emulator
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -47,7 +46,7 @@ __all__ = [
 ]
 
 #: bump when the BENCH_emulator.json layout changes
-BENCH_SCHEMA = 2
+BENCH_SCHEMA = 3
 
 #: the two cheapest suite members — the CI smoke subset
 QUICK_BENCHMARKS = ("conc30", "divide10")
@@ -81,64 +80,55 @@ def _identical(left, right):
             and left.taken == right.taken)
 
 
-def _resolve_timed(backends):
-    """Normalise a backend selection to BACKENDS order."""
-    if backends is None:
-        return list(BACKENDS)
-    unknown = [name for name in backends if name not in BACKENDS]
-    if unknown:
-        raise ValueError("unknown backend(s) %s; available: %s"
-                         % (", ".join(sorted(unknown)),
-                            ", ".join(sorted(BACKENDS))))
-    return [name for name in BACKENDS if name in set(backends)]
+def _speedups(seconds):
+    """Reference time over each other loop's time."""
+    return {backend: seconds["reference"] / seconds[backend]
+            for backend in BACKENDS
+            if backend != "reference" and seconds[backend] > 0}
 
 
-def time_backends(program, repeats=3, backends=None):
-    """Best-of-*repeats* wall time per backend for one program.
+def time_backends(program, repeats=3):
+    """Best-of-*repeats* wall time of each emulator loop for one program.
 
     Returns ``(results, seconds)``: backend name -> EmulationResult and
     backend name -> best wall-clock seconds for a full run.  Each
     emulator is built (codegen compiles) and run once untimed, so the
     timings are steady-state runs of the compiled code.
     """
-    timed = _resolve_timed(backends)
     emulators = {}
     results = {}
-    seconds = {backend: float("inf") for backend in timed}
-    for backend in timed:
+    seconds = {backend: float("inf") for backend in BACKENDS}
+    for backend in BACKENDS:
         emulator = _RUNNERS[backend](program)
         emulators[backend] = emulator
         results[backend] = emulator.run()
     for _ in range(repeats):
-        for backend in timed:
+        for backend in BACKENDS:
             elapsed = timeit.timeit(emulators[backend].run, number=1)
             if elapsed < seconds[backend]:
                 seconds[backend] = elapsed
     return results, seconds
 
 
-def bench_document(names=None, repeats=3, progress=None, backends=None):
-    """Time the selected *backends* over *names*.
+def bench_document(names=None, repeats=3, progress=None):
+    """Time both emulator loops over *names* (default: the paper suite).
 
-    Defaults: all of :data:`BACKENDS` over the paper suite.  Returns
-    the ``BENCH_emulator.json`` document.  *progress*, when given, is
-    called with each finished per-benchmark entry.
+    Returns the ``BENCH_emulator.json`` document.  *progress*, when
+    given, is called with each finished per-benchmark entry.
     """
     names = list(names) if names is not None else list(TABLE_BENCHMARKS)
-    timed = _resolve_timed(backends)
     entries = []
-    totals = {backend: 0.0 for backend in timed}
+    totals = {backend: 0.0 for backend in BACKENDS}
     for name in names:
         program = compile_benchmark(name)
-        results, seconds = time_backends(program, repeats=repeats,
-                                         backends=timed)
-        baseline = results[timed[0]]
+        results, seconds = time_backends(program, repeats=repeats)
+        baseline = results[BACKENDS[0]]
         steps = baseline.steps
         entry = {
             "name": name,
             "steps": steps,
             "identical": all(_identical(baseline, results[backend])
-                             for backend in timed[1:]),
+                             for backend in BACKENDS[1:]),
             "backends": {
                 backend: {
                     "seconds": seconds[backend],
@@ -146,16 +136,11 @@ def bench_document(names=None, repeats=3, progress=None, backends=None):
                     if seconds[backend] > 0 else 0.0,
                     "produced_by": results[backend].backend,
                 }
-                for backend in timed
+                for backend in BACKENDS
             },
-            "speedups": {
-                backend: seconds["reference"] / seconds[backend]
-                for backend in timed
-                if backend != "reference" and "reference" in seconds
-                and seconds[backend] > 0
-            },
+            "speedups": _speedups(seconds),
         }
-        for backend in timed:
+        for backend in BACKENDS:
             totals[backend] += seconds[backend]
         entries.append(entry)
         if progress is not None:
@@ -165,24 +150,12 @@ def bench_document(names=None, repeats=3, progress=None, backends=None):
         "git_rev": git_revision(),
         "python": platform.python_version(),
         "implementation": sys.implementation.name,
-        # The active backend selection (REPRO_EMULATOR_BACKEND or the
-        # default) the run executed under — which backend the rest of
-        # the evaluation would have used, independent of which ones
-        # were timed here.
-        "backend": resolve_backend(None),
-        "backends_timed": timed,
         "repeats": repeats,
         "benchmarks": entries,
         "summary": {
             "benchmarks": len(entries),
-            "total_seconds": {backend: totals[backend]
-                              for backend in timed},
-            "speedups": {
-                backend: totals["reference"] / totals[backend]
-                for backend in timed
-                if backend != "reference" and "reference" in totals
-                and totals[backend] > 0
-            },
+            "total_seconds": totals,
+            "speedups": _speedups(totals),
             "all_identical": all(entry["identical"]
                                  for entry in entries),
         },
@@ -209,15 +182,6 @@ def validate_bench(document):
     for field in ("git_rev", "python"):
         require(isinstance(document.get(field), str),
                 "%s is not a string" % field)
-    require(document.get("backend") in BACKENDS,
-            "backend is not one of %s" % (sorted(BACKENDS),))
-    timed = document.get("backends_timed")
-    require(isinstance(timed, list) and timed
-            and all(backend in BACKENDS for backend in timed),
-            "backends_timed is not a non-empty subset of %s"
-            % (sorted(BACKENDS),))
-    if not isinstance(timed, list):
-        timed = []
     require(isinstance(document.get("repeats"), int)
             and document.get("repeats", 0) >= 1,
             "repeats is not a positive integer")
@@ -240,8 +204,8 @@ def validate_bench(document):
         if not isinstance(backends, dict):
             problems.append("%s.backends is not an object" % where)
             continue
-        require(sorted(backends) == sorted(timed),
-                "%s.backends keys != backends_timed" % where)
+        require(sorted(backends) == sorted(BACKENDS),
+                "%s.backends keys are not %s" % (where, sorted(BACKENDS)))
         for backend, timing in backends.items():
             if not isinstance(timing, dict):
                 problems.append("%s.backends.%s is not an object"
@@ -270,8 +234,9 @@ def validate_bench(document):
                 "summary.speedups is not an object")
         totals = summary.get("total_seconds")
         require(isinstance(totals, dict)
-                and sorted(totals or {}) == sorted(timed),
-                "summary.total_seconds keys != backends_timed")
+                and sorted(totals or {}) == sorted(BACKENDS),
+                "summary.total_seconds keys are not %s"
+                % (sorted(BACKENDS),))
     return problems
 
 

@@ -20,7 +20,7 @@ from collections import OrderedDict
 from repro.benchmarks.programs import PROGRAMS, TABLE_BENCHMARKS
 from repro.bam import CompilerOptions, compile_source
 from repro.intcode import translate_module
-from repro.emulator import EmulationResult, resolve_backend, run_program
+from repro.emulator import EmulationResult, run_program
 from repro.interp import Engine
 from repro.observability import tracing as observe
 
@@ -136,27 +136,25 @@ def compile_benchmark(name):
     return compile_program(resolve_program(name).source)
 
 
-def run_program_cached(program, key_hint="", backend=None):
+def run_program_cached(program, key_hint=""):
     """Emulate *program*, memoised as an ``emulation`` entry of the
-    :func:`~repro.evaluation.cache.current_store` keyed on fingerprint
-    and requested backend.  *key_hint* only labels the span of a miss.
-    The payload records the backend that produced it (the codegen
-    route answers short runs on the reference loop).
+    :func:`~repro.evaluation.cache.current_store` keyed on its
+    fingerprint.  *key_hint* only labels the span of a miss.  The
+    payload records the loop that produced it (short runs are answered
+    on the reference loop, long ones compiled).
     """
     from repro.evaluation.cache import current_store
     from repro.evaluation.parallel import artefact_key
-    wanted = resolve_backend(backend)
     store = current_store()
-    key = artefact_key(store, "emulation", {
-        "fingerprint": program_fingerprint(program), "backend": wanted})
+    key = artefact_key(store, "emulation",
+                       {"fingerprint": program_fingerprint(program)})
     data = store.get(key)
     if data is not None:
         return EmulationResult(program, data["status"], data["steps"],
                                data["output"], data["counts"],
                                data["taken"], backend=data["backend"])
-    with observe.span("pipeline.profile", backend=wanted,
-                      hint=key_hint) as sp:
-        result = run_program(program, backend=wanted)
+    with observe.span("pipeline.profile", hint=key_hint) as sp:
+        result = run_program(program)
         sp.set(steps=result.steps, status=result.status)
     store.put(key, {"status": result.status, "steps": result.steps,
                     "output": result.output, "counts": result.counts,

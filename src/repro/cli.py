@@ -9,8 +9,8 @@
     python -m repro analyze --jobs 2          # dataflow passes + static
                                               # ILP bound over the suite
     python -m repro analyze --format json --output analyze.json
-    python -m repro bench [--quick]           # time emulator backends
-    python -m repro bench --backend codegen --backend reference mu
+    python -m repro bench [--quick]           # time both emulator loops
+    python -m repro bench mu                  # ... on one benchmark
     python -m repro evaluate [--extras]       # the paper's tables/figures
     python -m repro evaluate --extras --output results  # regenerate
     python -m repro evaluate --jobs 4 --bench qsort --bench nreverse
@@ -47,7 +47,7 @@ from repro.bam import compile_source, CompilerOptions
 from repro.benchmarks.suite import (
     compile_benchmark, compile_program, run_program_cached)
 from repro.intcode import optimize_program
-from repro.emulator import BACKENDS, run_program
+from repro.emulator import run_program
 from repro.compaction import (
     sequential, bam_like, vliw, ideal, symbol3)
 from repro.intcode.ici import OP_CLASS, MEM, ALU, MOVE, CTRL
@@ -258,13 +258,9 @@ def cmd_bench(args, out, err):
                   % (", ".join(sorted(unknown)),
                      ", ".join(sorted(PROGRAMS))))
         return 2
-    try:
-        document = bench_document(
-            names, repeats=args.repeat, backends=args.backend,
-            progress=lambda entry: out.write(format_bench(entry) + "\n"))
-    except ValueError as error:
-        err.write("bench: %s\n" % error)
-        return 2
+    document = bench_document(
+        names, repeats=args.repeat,
+        progress=lambda entry: out.write(format_bench(entry) + "\n"))
     summary = document["summary"]
     totals = " ".join(
         "%s=%.4fs" % (backend, seconds)
@@ -283,7 +279,7 @@ def cmd_bench(args, out, err):
     path = write_bench(document, args.output)
     out.write("wrote %s\n" % path)
     if not summary["all_identical"]:
-        err.write("bench: backend results differ — see 'identical' "
+        err.write("bench: emulator results differ — see 'identical' "
                   "fields in %s\n" % path)
         return 1
     return 0
@@ -321,17 +317,20 @@ def _write_supervisor_report(args, engine, out):
         out.write("wrote %s\n" % path)
 
 
-def _add_supervisor_flags(parser):
+def _add_supervisor_flags(parser, report=True):
+    """--cell-timeout and --max-attempts; *report* adds --report, for
+    the sub-commands that write the sweep's EvaluationReport."""
     parser.add_argument("--cell-timeout", type=float, metavar="SECONDS",
                         help="watchdog deadline per evaluation task "
                              "(default 300; 0 disables)")
     parser.add_argument("--max-attempts", type=int, metavar="N",
                         help="executions per task before it is marked "
                              "failed (default 3)")
-    parser.add_argument("--report", metavar="PATH",
-                        help="write the structured EvaluationReport "
-                             "(per-task status/attempts/timings) as "
-                             "JSON")
+    if report:
+        parser.add_argument("--report", metavar="PATH",
+                            help="write the structured EvaluationReport "
+                                 "(per-task status/attempts/timings) "
+                                 "as JSON")
 
 
 def _trace_seed():
@@ -406,9 +405,9 @@ def _cmd_evaluate(args, out, err):
 
 
 def _report_profile_backends(out):
-    """Summarise which emulator backend produced each profile artefact
-    (a cached profile may come from a different backend than the active
-    one — that difference should be diagnosable, not silent)."""
+    """Summarise which emulator loop produced each profile artefact:
+    a program whose run outlived the compile budget reports
+    ``codegen``, every other one ``reference``."""
     from repro.experiments.data import profile_backends
     backends = profile_backends()
     if not backends:
@@ -713,17 +712,14 @@ def cmd_verify(args, out, err):
 
 def _serve_config(args):
     from repro.serve.service import ServiceConfig
+    policy = _supervisor_policy(args)
     return ServiceConfig(
         host=args.host, port=args.port, jobs=_resolve_jobs(args),
         cache_root=args.cache_dir,
         queue_limit=args.queue_limit, batch_max=args.batch_max,
         default_deadline=args.deadline,
         breaker_threshold=args.breaker_threshold,
-        cell_timeout=(args.cell_timeout
-                      if getattr(args, "cell_timeout", None)
-                      else 300.0),
-        max_attempts=(args.max_attempts
-                      if getattr(args, "max_attempts", None) else 3))
+        cell_timeout=policy.deadline, max_attempts=policy.max_attempts)
 
 
 async def _serve_async(config, out):
@@ -786,6 +782,10 @@ def cmd_serve(args, out, err):
 
 def cmd_query(args, out, err):
     if args.sweep:
+        if args.report:
+            err.write("query: --report applies to one query, not to "
+                      "--sweep\n")
+            return 2
         return _query_sweep(args, out, err)
     if bool(args.benchmark) == bool(args.file):
         err.write("query: give a suite benchmark name or --file "
@@ -993,7 +993,7 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bench",
-                       help="time the emulator backends over the "
+                       help="time both emulator loops over the "
                             "paper suite")
     p.add_argument("name", nargs="*",
                    help="suite benchmark(s) to time (default: the "
@@ -1001,12 +1001,8 @@ def build_parser():
     p.add_argument("--quick", action="store_true",
                    help="time only the two cheapest benchmarks (the "
                         "CI smoke subset)")
-    p.add_argument("--backend", action="append", metavar="NAME",
-                   choices=BACKENDS,
-                   help="emulator backend to time (repeatable; "
-                        "default: all backends)")
     p.add_argument("--repeat", type=int, default=3, metavar="N",
-                   help="timing repeats per backend; best-of-N is "
+                   help="timing repeats per emulator loop; best-of-N is "
                         "recorded (default 3)")
     p.add_argument("--output", default="BENCH_emulator.json",
                    metavar="PATH",
@@ -1129,8 +1125,8 @@ def build_parser():
                    help="default per-request deadline (default 120)")
     p.add_argument("--breaker-threshold", type=int, default=2,
                    metavar="N",
-                   help="pool deaths before the backend's circuit "
-                        "breaker opens (default 2)")
+                   help="pool deaths before the circuit breaker "
+                        "opens (default 2)")
     p.add_argument("--load-test", type=int, metavar="N",
                    help="run the load test (N mixed requests) instead "
                         "of serving")
@@ -1143,7 +1139,7 @@ def build_parser():
                    metavar="PATH",
                    help="load-test document path (default "
                         "BENCH_serve.json)")
-    _add_supervisor_flags(p)
+    _add_supervisor_flags(p, report=False)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("query",

@@ -1,20 +1,19 @@
 """Sequential ICI emulator and dynamic statistics.
 
-Two backends share one contract (bit-identical
+Two loops share one contract (bit-identical
 :class:`~repro.emulator.machine.EmulationResult` data):
 
-* ``codegen`` — the compiled-function backend in
-  :mod:`repro.emulator.codegen` (the default; the whole program emitted
-  as one Python function with registers as locals, several times
-  faster than the reference loop once its compile is paid for);
 * ``reference`` — the plain interpreter loop in
-  :mod:`repro.emulator.machine`, which codegen falls back to whenever
+  :mod:`repro.emulator.machine`;
+* ``codegen`` — :class:`~repro.emulator.codegen.CodegenEmulator`, the
+  whole program emitted as one Python function with registers as
+  locals, several times faster than the reference loop once its
+  compile is paid for.  It falls back to the reference loop whenever
   it cannot produce a result exactly.
 
-:func:`run_program` selects between them (``backend=`` argument or the
-``REPRO_EMULATOR_BACKEND`` environment variable).  Its ``codegen``
-route compiles only runs that outlive a step budget on the reference
-loop; shorter runs report ``reference``.
+:func:`run_program` has one route: it runs the reference loop first
+and compiles only runs that outlive a step budget.
+``EmulationResult.backend`` names the loop that produced a result.
 """
 
 from repro.emulator.machine import (

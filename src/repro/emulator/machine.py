@@ -1,4 +1,4 @@
-"""Sequential ICI emulator (the *reference* backend).
+"""Sequential ICI emulator (the *reference* loop).
 
 Executes a compiled :class:`~repro.intcode.program.Program` against the
 shared data memory, collecting the statistics the back-end needs: per-
@@ -8,24 +8,21 @@ output so compiled code can be validated against the reference interpreter.
 
 The emulator is a straight interpreter loop over pre-decoded instruction
 tuples; correctness and statistics, not speed, are its contract.  The
-fast path is the codegen backend in :mod:`repro.emulator.codegen` (the
+fast path is the codegen loop in :mod:`repro.emulator.codegen` (the
 whole program compiled to one Python function, registers as locals),
-which must stay bit-identical to this loop.  :func:`run_program`
-selects between the two (``REPRO_EMULATOR_BACKEND``, default
-``codegen``); its ``codegen`` route runs this loop first and compiles
-only programs that outlive :data:`_COMPILE_AFTER_STEPS`.
+which must stay bit-identical to this loop.  :func:`run_program` runs
+this loop first and compiles only programs that outlive
+:data:`_COMPILE_AFTER_STEPS`.
 """
 
-import os
 from array import array
 
 from repro.terms import tags, Atom, Int, Var, Struct, term_to_string
 from repro.intcode import layout
 
-_BACKEND_ENV = "REPRO_EMULATOR_BACKEND"
 BACKENDS = ("codegen", "reference")
 
-#: steps the ``codegen`` route spends on the reference loop before it
+#: steps :func:`run_program` spends on the reference loop before it
 #: compiles.  Compiling costs a fixed 0.1-0.5 s that only long runs win
 #: back: from cold, sendmore (1.06 M steps) is about break-even and tak
 #: (4.95 M steps) is several times faster compiled.  A run just past
@@ -37,12 +34,13 @@ _STEP_LIMIT = "step limit exceeded (%d)"
 
 
 def resolve_backend(backend=None):
-    """The effective emulator backend name for *backend* (or the env)."""
-    name = backend or os.environ.get(_BACKEND_ENV) or BACKENDS[0]
-    if name not in BACKENDS:
-        raise ValueError("unknown emulator backend %r (expected one of "
-                         "%s)" % (name, ", ".join(BACKENDS)))
-    return name
+    """*backend*, or ``codegen`` for None.
+
+    Nothing in the package calls it: the frozen perf benchmark still
+    does (warm-up provenance and its fallback-ratio observer), and
+    ROADMAP item 4 removes it at the next benchmark change.
+    """
+    return backend or BACKENDS[0]
 
 # Pre-decoded opcode numbers, ordered roughly by expected frequency.
 _LD, _ST, _BTAG, _BNTAG, _MOV, _LEA, _LDI, _BEQ, _BNE, _JMP, _CALL, \
@@ -388,22 +386,17 @@ def _reify(mem, symbols, word, seen, depth=0):
     return Atom("<%s>" % tags.describe(word))
 
 
-def run_program(program, max_steps=500_000_000, backend=None):
-    """Emulate *program* on the selected backend and return the result.
+def run_program(program, max_steps=500_000_000):
+    """Emulate *program* and return the :class:`EmulationResult`.
 
-    *backend* is ``"codegen"`` (the default) or ``"reference"`` (the
-    interpreter loop above); when None the ``REPRO_EMULATOR_BACKEND``
-    environment variable decides.  Both produce bit-identical
-    :class:`EmulationResult` data, and ``result.backend`` names the
-    loop that produced it.
-
-    The ``codegen`` route runs the reference loop for up to
-    :data:`_COMPILE_AFTER_STEPS` steps first: a run that finishes (or
-    faults) inside that budget is the answer.  Only a run that is
-    still going at the budget restarts from the beginning on
+    The reference loop runs first, for up to
+    :data:`_COMPILE_AFTER_STEPS` steps: a run that finishes (or faults)
+    inside that budget is the answer.  Only a run that is still going
+    at the budget restarts from the beginning on
     :class:`~repro.emulator.codegen.CodegenEmulator`, which itself
     falls back to the reference loop on anything it cannot handle
-    exactly.
+    exactly.  Both loops produce bit-identical data, and
+    ``result.backend`` names the loop that produced it.
     """
     from repro.testing import faults
     from repro.observability import tracing as observe
@@ -411,24 +404,19 @@ def run_program(program, max_steps=500_000_000, backend=None):
             and faults.fire("emulator.run") == "step-limit":
         raise EmulatorError("step limit exceeded (0) [injected at "
                             "emulator.run]")
-    name = resolve_backend(backend)
     # run_program is the hottest instrumentation point (perf-bench
     # loops call it back to back), so it drives the tracer directly
     # instead of through the span context manager.
     tracer = observe.active()
-    span = tracer.open("emulator.run", backend=name) if tracer else None
+    span = tracer.open("emulator.run") if tracer else None
     try:
-        if name == "reference":
-            result = Emulator(program, max_steps=max_steps).run()
-        else:
-            result = _run_codegen_route(program, max_steps)
+        result = _emulate(program, max_steps)
     except BaseException as error:
         if tracer is not None:
             tracer.close(span, error=error)
         raise
     if tracer is not None:
-        # the codegen route may have answered on the reference loop; the
-        # span records the backend that actually produced the result
+        # the span records the loop that produced the result
         tracer.close(span.set(steps=result.steps, status=result.status,
                               backend=result.backend))
         tracer.metrics.add("emulator.runs")
@@ -436,9 +424,9 @@ def run_program(program, max_steps=500_000_000, backend=None):
     return result
 
 
-def _run_codegen_route(program, max_steps):
-    """The ``codegen`` route: reference loop up to the compile budget,
-    the compiled backend from the start for longer runs."""
+def _emulate(program, max_steps):
+    """Reference loop up to the compile budget, the compiled loop from
+    the start for longer runs."""
     budget = min(max_steps, _COMPILE_AFTER_STEPS)
     try:
         return Emulator(program, max_steps=budget).run()

@@ -5,9 +5,9 @@ from repro.evaluation.simulator import (
 from repro.evaluation.pipeline import (
     RegionSet, basic_block_regions, superblock_regions, machine_cycles,
     evaluate_benchmark, BenchmarkEvaluation)
+from repro.evaluation.cache import CacheStore
 from repro.evaluation.parallel import (
-    EvaluationEngine, EvaluationError, CacheStore, shared_engine,
-    configure)
+    EvaluationEngine, EvaluationError, shared_engine, configure)
 from repro.evaluation.supervisor import (
     EvaluationReport, Supervisor, SupervisorPolicy)
 

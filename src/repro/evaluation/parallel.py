@@ -61,18 +61,13 @@ from concurrent.futures import ProcessPoolExecutor
 from repro.benchmarks.suite import (
     clear_front_end_memo, compile_benchmark, program_fingerprint,
     run_program_cached)
-from repro.emulator import resolve_backend
-# Re-exported for compatibility: the store grew into its own module.
-from repro.evaluation.cache import (        # noqa: F401
-    CACHE_SCHEMA, CacheStore, current_store, open_store, using_store)
+from repro.evaluation.cache import current_store, open_store, using_store
 from repro.evaluation.supervisor import (
     EvaluationReport, Supervisor, SupervisorPolicy, kill_pool)
 from repro.observability import tracing as obs
 from repro.testing import faults
 
 __all__ = [
-    "CACHE_SCHEMA",
-    "CacheStore",
     "EvaluationEngine",
     "EvaluationError",
     "EvaluationReport",
@@ -82,7 +77,6 @@ __all__ = [
     "config_signature",
     "configure",
     "memoised",
-    "open_store",
     "shared_engine",
 ]
 
@@ -114,11 +108,10 @@ _PROFILE_FILES = (
     "intcode/runtime.py",
     "intcode/layout.py",
 )
-#: the codegen backend is an implementation detail with a bit-identical
-#: output contract, so editing it (or switching backends — the active
-#: backend is a key component of profile nodes) invalidates only
-#: profile artefacts: region layouts and cycle cells consume profile
-#: *data*, which both backends produce identically.
+#: the compiled loop is an implementation detail with a bit-identical
+#: output contract, so editing it invalidates only profile artefacts:
+#: region layouts and cycle cells consume profile *data*, which both
+#: loops produce identically.
 _PROFILE_ONLY_FILES = _PROFILE_FILES + ("emulator/codegen.py",)
 _REGION_FILES = _PROFILE_FILES + (
     "compaction/transform.py",
@@ -136,7 +129,7 @@ _CELL_FILES = _REGION_FILES + (
 _COMPONENT_FILES = {
     "profile": _PROFILE_ONLY_FILES,
     # whole emulation results (run_program_cached): per-pc counts,
-    # output and the producing backend of one compiled program
+    # output and the producing loop of one compiled program
     "emulation": _PROFILE_ONLY_FILES,
     "regions": _REGION_FILES,
     "cell": _CELL_FILES,
@@ -246,10 +239,6 @@ def _worker_init():
 
 
 def _worker_program(name, fingerprint):
-    # The memo key includes the active backend: the profile payload
-    # records which backend produced it, so a backend switch between
-    # in-process runs must not serve a stale-provenance entry.
-    backend = resolve_backend(None)
     program = compile_benchmark(name)
     compiled = program_fingerprint(program)
     if compiled != fingerprint:
@@ -258,9 +247,9 @@ def _worker_program(name, fingerprint):
             "expected %s — non-deterministic compilation?"
             % (name, compiled, fingerprint))
     entry = _worker_profiles.get(name)
-    if entry is None or entry[0] != (fingerprint, backend):
-        result = run_program_cached(program, name + "-", backend)
-        entry = ((fingerprint, backend), result)
+    if entry is None or entry[0] != fingerprint:
+        result = run_program_cached(program, name + "-")
+        entry = (fingerprint, result)
         _worker_profiles[name] = entry
         _worker_regions.clear()
     return program, entry[1]
@@ -382,8 +371,9 @@ class EvaluationEngine:
 
     *jobs* is the worker count (default ``os.cpu_count()``); ``jobs=1``
     executes every task in the calling process.  *store* is the
-    content-addressed :class:`CacheStore` (default: the shared cache
-    directory, honouring ``REPRO_CACHE_DIR``).  *policy* is the
+    content-addressed :class:`~repro.evaluation.cache.CacheStore`
+    (default: the shared cache directory, honouring
+    ``REPRO_CACHE_DIR``).  *policy* is the
     :class:`~repro.evaluation.supervisor.SupervisorPolicy` governing
     deadlines, retries, backoff and pool resurrection; per-task
     outcomes accumulate in :attr:`report` for the engine's lifetime.
@@ -491,8 +481,7 @@ class EvaluationEngine:
                         "entries": node.payload["entries"]}
                     for regioning, node in region_nodes.items()},
                 "steps": profile_node.payload["steps"],
-                # Which emulator backend produced the profile artefact
-                # (may differ from the active backend on a cache hit).
+                # Which emulator loop produced the profile artefact.
                 "backend": profile_node.payload.get("backend",
                                                     "reference"),
             }
@@ -576,8 +565,7 @@ class EvaluationEngine:
             nodes, "profile", "%s/profile" % name,
             {"kind": "profile", "benchmark": name,
              "fingerprint": fingerprint, "verify": verify},
-            {"fingerprint": fingerprint,
-             "backend": resolve_backend(None)}, verify)
+            {"fingerprint": fingerprint}, verify)
 
     def _plan_request(self, nodes, request):
         name = request["name"]

@@ -58,11 +58,10 @@ def get_evaluation(name):
 
 
 def profile_backends():
-    """benchmark -> emulator backend that produced its profile artefact.
+    """benchmark -> emulator loop that produced its profile artefact.
 
     Covers the benchmarks evaluated so far in this process; a cached
-    profile reports the backend that originally computed it, which may
-    differ from the currently active backend.
+    profile reports the loop that originally computed it.
     """
     return {name: evaluation.data.get("backend", "reference")
             for name, evaluation in sorted(_evaluations.items())

@@ -10,7 +10,7 @@ A registry is attached to every :class:`~repro.observability.tracing
 .Tracer` and exported as the final record of the trace JSONL.  The
 counters are *reconcilable by construction*: each instrumented
 subsystem increments its counter at the same point it updates its own
-bookkeeping (e.g. :class:`~repro.evaluation.parallel.CacheStore`
+bookkeeping (e.g. :class:`~repro.evaluation.cache.CacheStore`
 increments ``cache.hits`` exactly where it increments ``self.hits``),
 so the trace-invariant suite can assert exact equality between the
 two.

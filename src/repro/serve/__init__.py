@@ -6,8 +6,8 @@ profile → regions → cell task DAG via the parallel engine and the
 supervisor, and streams results back.  Engineered for failure first:
 per-request deadlines propagate into supervisor cell timeouts, a
 bounded admission queue sheds load explicitly (429 + ``Retry-After``),
-a per-backend circuit breaker degrades to the reference interpreter
-after repeated pool deaths, transient request failures retry with the
+a circuit breaker degrades to an in-process engine after repeated
+pool deaths, transient request failures retry with the
 supervisor's deterministic backoff, and SIGTERM drains in-flight work
 before exiting 0.  See ``docs/serve.md``.
 """

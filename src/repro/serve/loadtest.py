@@ -253,7 +253,7 @@ def _assemble(records, references, templates, server_metrics, extras):
         "server": {
             "counters": server_counters,
             "cache": (server_metrics or {}).get("cache", {}),
-            "breakers": (server_metrics or {}).get("breakers", {}),
+            "breaker": (server_metrics or {}).get("breaker", {}),
             "supervisor": (server_metrics or {}).get("supervisor", {}),
         },
         "warm_hit_rate": (None if warm_hit_rate is None

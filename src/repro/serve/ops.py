@@ -6,10 +6,10 @@ reduces a JSON body to a canonical spec (sorted configs, defaulted
 budget, deadline split out — the deadline shapes scheduling, never the
 answer), and :func:`compute_result` maps a spec to a deterministic
 result payload.  Results deliberately exclude run provenance (which
-emulator backend produced the profile, timings): a degraded request
-served by the reference interpreter must be **byte-identical** to the
-same request on the codegen backend, which is the invariant the chaos
-suite pins.
+emulator loop produced the profile, timings): a degraded request
+served by the in-process fallback engine must be **byte-identical** to
+the same request served by the process pool, which is the invariant
+the chaos suite pins.
 """
 
 import json

@@ -16,12 +16,10 @@ request path is engineered for failure first:
 * **server-side retry** — transient failures (injected or real) retry
   up to :attr:`ServiceConfig.max_attempts` times with the supervisor's
   crc32-seeded deterministic backoff, bounded by the deadline.
-* **circuit breaker** — repeated pool deaths under one emulator
-  backend trip a per-backend breaker; while it is open, requests are
-  served by an in-process reference-interpreter engine (results are
-  byte-identical by the backend contract, responses are flagged
-  ``degraded``).  After a cooldown one probe request tests the
-  primary again.
+* **circuit breaker** — repeated pool deaths trip the breaker; while
+  it is open, requests are served by an in-process ``jobs=1`` engine
+  (results are byte-identical, responses are flagged ``degraded``).
+  After a cooldown one probe request tests the pool again.
 * **graceful drain** — SIGTERM/SIGINT stop the listener, let queued
   and in-flight requests finish, flush the engine, and exit 0.
 
@@ -37,13 +35,10 @@ cells; its answer-memo hit/miss counts surface per cache kind in
 """
 
 import asyncio
-import contextlib
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.emulator.machine import _BACKEND_ENV, resolve_backend
 from repro.evaluation.cache import open_store
 from repro.evaluation.parallel import EvaluationEngine, memoised
 from repro.evaluation.supervisor import SupervisorPolicy
@@ -60,7 +55,17 @@ _STOP = object()
 
 
 class ServiceConfig:
-    """Tunable service parameters (every knob has a CLI flag)."""
+    """Tunable service parameters.
+
+    ``repro serve`` sets ten of them from flags: host, port, jobs,
+    cache_root (``--cache-dir``), queue_limit, batch_max,
+    default_deadline (``--deadline``), breaker_threshold, cell_timeout
+    and max_attempts.  The other nine (max_deadline, retry_after,
+    breaker_cooldown, pool_restarts, idle_timeout, drain_grace,
+    backoff_base, backoff_cap, seed) keep their defaults there; only
+    code that builds a ServiceConfig itself, such as the tests, sets
+    them.
+    """
 
     def __init__(self, host="127.0.0.1", port=0, jobs=1, cache_root=None,
                  queue_limit=64, batch_max=16,
@@ -98,7 +103,7 @@ class ServiceConfig:
 
 
 class CircuitBreaker:
-    """Closed → open → half-open breaker over one emulator backend.
+    """Closed → open → half-open breaker over the engine's process pool.
 
     ``record_failure`` counts pool deaths (restarts reported by the
     supervisor); at *threshold* the breaker opens and :meth:`allow`
@@ -119,7 +124,7 @@ class CircuitBreaker:
         self._probing = False
 
     def allow(self):
-        """True when the primary backend may be tried."""
+        """True when the pool engine may be tried."""
         if self.state == "closed":
             return True
         if self.state == "open":
@@ -162,23 +167,6 @@ class _Pending:
         self.future = future
 
 
-@contextlib.contextmanager
-def _backend_override(backend):
-    """Temporarily pin ``REPRO_EMULATOR_BACKEND`` (degraded mode)."""
-    if backend is None:
-        yield
-        return
-    saved = os.environ.get(_BACKEND_ENV)
-    os.environ[_BACKEND_ENV] = backend
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(_BACKEND_ENV, None)
-        else:
-            os.environ[_BACKEND_ENV] = saved
-
-
 class EvaluationService:
     """The asyncio HTTP service wrapping one evaluation engine."""
 
@@ -190,7 +178,8 @@ class EvaluationService:
                                        store=self.store,
                                        policy=self.config.policy())
         self.metrics = MetricsRegistry()
-        self.breakers = {}
+        self.breaker = CircuitBreaker(self.config.breaker_threshold,
+                                      self.config.breaker_cooldown)
         self.port = None
         self._fallback = None
         self._loop = None
@@ -451,14 +440,6 @@ class EvaluationService:
                 jobs=1, store=self.store, policy=self.config.policy())
         return self._fallback
 
-    def _breaker(self, backend):
-        breaker = self.breakers.get(backend)
-        if breaker is None:
-            breaker = CircuitBreaker(self.config.breaker_threshold,
-                                     self.config.breaker_cooldown)
-            self.breakers[backend] = breaker
-        return breaker
-
     def _run_one(self, pending):
         attempts = 0
         while True:
@@ -469,9 +450,7 @@ class EvaluationService:
                 return {"status": 504, "payload": {
                     "ok": False, "error": "deadline exceeded",
                     "meta": {"attempts": attempts - 1}}}
-            backend = resolve_backend(None)
-            breaker = self._breaker(backend)
-            degraded = not breaker.allow()
+            degraded = not self.breaker.allow()
             try:
                 if faults.armed("serve.request") \
                         and faults.fire("serve.request") == "shed":
@@ -501,10 +480,10 @@ class EvaluationService:
                 continue
             if not degraded:
                 if pain:
-                    breaker.record_failure(pain)
+                    self.breaker.record_failure(pain)
                     self.metrics.add("serve.breaker.failures", pain)
                 else:
-                    breaker.record_success()
+                    self.breaker.record_success()
             was_degraded = degraded or swept_degraded
             if was_degraded:
                 self.metrics.add("serve.degraded")
@@ -515,7 +494,6 @@ class EvaluationService:
                 "attempts": attempts,
                 "cached": cached,
                 "degraded": was_degraded,
-                "backend": "reference" if degraded else backend,
             }
             return {"status": 200, "payload": {
                 "ok": True, "result": payload, "meta": meta}}
@@ -533,10 +511,8 @@ class EvaluationService:
             return compute_result(pending.spec, engine)
 
         with engine.policy.clamped(remaining):
-            with _backend_override("reference" if degraded else None):
-                payload = memoised("serve",
-                                   {"request": pending.spec}, compute,
-                                   store=self.store)
+            payload = memoised("serve", {"request": pending.spec},
+                               compute, store=self.store)
         pain = engine.report.pool_restarts - restarts_before
         swept = engine.report.degraded and not degraded_before
         return payload, not computed, pain, swept
@@ -559,9 +535,7 @@ class EvaluationService:
             "queue_limit": self.config.queue_limit,
             "inflight": self._inflight,
             "jobs": self.config.jobs,
-            "breakers": {name: breaker.snapshot()
-                         for name, breaker in
-                         sorted(self.breakers.items())},
+            "breaker": self.breaker.snapshot(),
             "cache": self.store.counters(),
             "supervisor": self.engine.report.counts(),
         }
@@ -572,9 +546,7 @@ class EvaluationService:
                          for name in sorted(self.metrics.counters)},
             "cache": dict(self.store.counters(),
                           kinds=self.store.kind_stats()),
-            "breakers": {name: breaker.snapshot()
-                         for name, breaker in
-                         sorted(self.breakers.items())},
+            "breaker": self.breaker.snapshot(),
             "queue_depth": self._queue.qsize(),
             "inflight": self._inflight,
             "supervisor": self.engine.report.counts(),

@@ -15,7 +15,8 @@ import pytest
 from repro.atomicio import (
     FileLock, LockTimeout, atomic_write_json, atomic_write_text)
 from repro.compaction import sequential, vliw
-from repro.evaluation.parallel import CacheStore, EvaluationEngine
+from repro.evaluation.cache import CacheStore
+from repro.evaluation.parallel import EvaluationEngine
 from repro.evaluation.supervisor import SupervisorPolicy
 from tests.conftest import fresh_memos
 

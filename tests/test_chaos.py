@@ -30,7 +30,8 @@ import repro
 from repro.atomicio import FileLock
 from repro.compaction import sequential, vliw
 from repro.evaluation import parallel
-from repro.evaluation.parallel import CacheStore, EvaluationEngine
+from repro.evaluation.cache import CacheStore
+from repro.evaluation.parallel import EvaluationEngine
 from repro.evaluation.supervisor import SupervisorPolicy
 from repro.testing import faults
 from tests.conftest import fresh_memos

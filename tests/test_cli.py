@@ -122,31 +122,25 @@ def test_bench_quick_writes_schema_valid_record(tmp_path):
     assert validate_bench(document) == []
     assert [entry["name"] for entry in document["benchmarks"]] \
         == list(QUICK_BENCHMARKS)
-    assert sorted(document["benchmarks"][0]["backends"]) \
-        == ["codegen", "reference"]
-    assert document["summary"]["all_identical"] is True
-
-
-def test_bench_backend_subset(tmp_path):
-    import json
-    from repro.benchmarks.perf import validate_bench
-    output = str(tmp_path / "BENCH_emulator.json")
-    status, text, errors = run_cli(
-        ["bench", "conc30", "--repeat", "1",
-         "--backend", "reference", "--backend", "codegen",
-         "--output", output])
-    assert status == 0, errors
-    with open(output) as handle:
-        document = json.load(handle)
-    assert validate_bench(document) == []
-    # the selection is normalised to BACKENDS order
-    assert document["backends_timed"] == ["codegen", "reference"]
     entry = document["benchmarks"][0]
     assert sorted(entry["backends"]) == ["codegen", "reference"]
-    # each row names the backend that actually produced its profile
+    # each row names the loop that actually produced its profile
     assert entry["backends"]["reference"]["produced_by"] == "reference"
     assert entry["backends"]["codegen"]["produced_by"] == "codegen"
     assert "codegen" in entry["speedups"]
+    assert "backend" not in document
+    assert document["summary"]["all_identical"] is True
+
+
+def test_published_bench_document_validates():
+    import json
+    import os
+    from repro.benchmarks.perf import validate_bench
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "results", "BENCH_emulator.json")
+    document = json.load(open(path))
+    assert validate_bench(document) == []
+    assert document["summary"]["all_identical"] is True
 
 
 def test_bench_rejects_names_with_quick(tmp_path):
@@ -228,6 +222,32 @@ def test_evaluate_smoke_writes_supervisor_report(tmp_path, monkeypatch):
     assert document["interrupted"] is None
 
 
+@pytest.mark.parametrize("argv, deadline", [
+    ([], 300.0),
+    (["--cell-timeout", "7.5"], 7.5),
+    (["--cell-timeout", "0"], None),
+])
+def test_serve_cell_timeout_matches_evaluate(argv, deadline):
+    """``--cell-timeout 0`` disables the watchdog for serve as it does
+    for evaluate."""
+    from repro.cli import _serve_config, _supervisor_policy
+    parser = build_parser()
+    served = _serve_config(parser.parse_args(["serve"] + argv)).policy()
+    evaluated = _supervisor_policy(parser.parse_args(["evaluate"] + argv))
+    assert served.deadline == evaluated.deadline == deadline
+
+
+def test_report_is_offered_only_where_it_is_written(tmp_path):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "--report", "r.json"])
+    report = tmp_path / "r.json"
+    status, text, errors = run_cli(
+        ["query", "--sweep", "--quick", "--report", str(report)])
+    assert status == 2
+    assert "--report" in errors
+    assert not report.exists()
+
+
 def test_evaluate_survives_an_injected_transient_fault(
         tmp_path, monkeypatch):
     from repro.testing import faults
@@ -271,10 +291,8 @@ def test_evaluate_output_refuses_the_smoke_table(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# REPRO_EMULATOR_BACKEND is honoured consistently: the backend recorded
-# in the bench document and in evaluate's profile provenance always
-# matches the active override, even against warm caches produced under
-# the other backend.
+# evaluate's profile column is provenance: the loop that produced the
+# cached profile artefact.
 
 def _profile_column(text, benchmark):
     row = next(line for line in text.splitlines()
@@ -282,37 +300,21 @@ def _profile_column(text, benchmark):
     return row.split()[-1]
 
 
-@pytest.mark.parametrize("backend", ("reference", "codegen"))
-def test_bench_quick_records_env_backend(tmp_path, monkeypatch, backend):
-    import json
-    monkeypatch.setenv("REPRO_EMULATOR_BACKEND", backend)
-    output = str(tmp_path / "BENCH_emulator.json")
-    status, text, errors = run_cli(
-        ["bench", "--quick", "--repeat", "1", "--output", output])
-    assert status == 0, errors
-    with open(output) as handle:
-        document = json.load(handle)
-    assert document["backend"] == backend
-    from repro.benchmarks.perf import validate_bench
-    assert validate_bench(document) == []
-
-
-def test_evaluate_profile_backend_follows_env_override(
+def test_evaluate_profile_column_names_the_producing_loop(
         tmp_path, monkeypatch):
-    """A warm cache written under one backend must not masquerade as
-    the profile provenance of a sweep run under the other."""
+    """A profile computed on the compiled loop reports ``codegen``,
+    also when a later sweep reads it back from the cache."""
     from repro.emulator import machine
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    # every run of the codegen route compiles, so the provenance it
-    # records is codegen's own
-    monkeypatch.setattr(machine, "_COMPILE_AFTER_STEPS", 0)
-    for backend in ("reference", "codegen", "reference"):
-        monkeypatch.setenv("REPRO_EMULATOR_BACKEND", backend)
+    # a budget of 0 compiles every run; the default budget would answer
+    # conc30 on the reference loop, but the second sweep is a cache hit
+    for budget in (0, machine._COMPILE_AFTER_STEPS):
+        monkeypatch.setattr(machine, "_COMPILE_AFTER_STEPS", budget)
         fresh_memos(monkeypatch)
         status, text, errors = run_cli(
             ["evaluate", "--jobs", "1", "--bench", "conc30"])
         assert status == 0, errors
-        assert _profile_column(text, "conc30") == backend
+        assert _profile_column(text, "conc30") == "codegen"
 
 
 # -- machine-readable diagnostics --------------------------------------------

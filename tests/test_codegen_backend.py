@@ -1,5 +1,5 @@
-"""The codegen emulator backend: selection, the step-budget hand-over
-from the reference loop, bit-identical statistics, and the reference
+"""The codegen emulator loop: the step-budget hand-over from the
+reference loop, bit-identical statistics, and the reference
 fallback."""
 
 import pytest
@@ -43,53 +43,29 @@ def assert_identical(program, **kwargs):
     return reference, compiled
 
 
-# -- backend selection -----------------------------------------------------
+# -- provenance ------------------------------------------------------------
 
 def test_backend_order_prefers_codegen():
     assert BACKENDS == ("codegen", "reference")
     assert resolve_backend(None) == "codegen"
 
 
-def test_resolve_explicit_backends():
-    assert resolve_backend("reference") == "reference"
-    assert resolve_backend("codegen") == "codegen"
-
-
-def test_resolve_backend_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown emulator backend"):
-        resolve_backend("nonesuch")
-
-
-def test_backend_environment_variable(monkeypatch):
-    monkeypatch.setenv("REPRO_EMULATOR_BACKEND", "reference")
-    assert resolve_backend(None) == "reference"
-    program = compile_program(HELLO)
-    assert run_program(program).backend == "reference"
-
-
-def test_backend_environment_variable_invalid(monkeypatch):
-    monkeypatch.setenv("REPRO_EMULATOR_BACKEND", "nonesuch")
-    with pytest.raises(ValueError):
-        run_program(compile_program(HELLO))
-
-
 def test_run_program_reports_backend():
     program = compile_program(HELLO)
-    assert run_program(program, backend="reference").backend \
-        == "reference"
+    assert Emulator(program).run().backend == "reference"
 
 
 def test_run_program_reports_codegen_backend(monkeypatch):
     monkeypatch.setattr(machine_mod, "_COMPILE_AFTER_STEPS", 0)
     program = compile_program(HELLO)
-    assert run_program(program, backend="codegen").backend == "codegen"
+    assert run_program(program).backend == "codegen"
 
 
 # -- the step-budget hand-over ---------------------------------------------
 
 def test_run_inside_budget_reports_reference():
     program = compile_program(LOOP)
-    result = run_program(program, backend="codegen")
+    result = run_program(program)
     assert result.backend == "reference"
     assert program._codegen is None     # nothing was compiled
 
@@ -99,7 +75,7 @@ def test_run_past_budget_hands_over_to_codegen(monkeypatch):
     program = compile_program(LOOP)
     expected = Emulator(program).run()
     assert expected.steps > 100
-    result = run_program(program, backend="codegen")
+    result = run_program(program)
     assert result.backend == "codegen"
     for field in ("status", "steps", "output", "counts", "taken"):
         assert getattr(result, field) == getattr(expected, field), field
@@ -114,7 +90,7 @@ def test_step_limit_past_budget_is_the_exact_reference_fault(
     with pytest.raises(EmulatorError) as reference_error:
         Emulator(program, max_steps=limit).run()
     with pytest.raises(EmulatorError) as route_error:
-        run_program(program, max_steps=limit, backend="codegen")
+        run_program(program, max_steps=limit)
     assert str(route_error.value) == str(reference_error.value)
 
 
@@ -134,7 +110,7 @@ def test_fault_inside_budget_never_compiles(monkeypatch, source,
     with pytest.raises(EmulatorError) as reference_error:
         Emulator(program, max_steps=max_steps).run()
     with pytest.raises(EmulatorError) as route_error:
-        run_program(program, max_steps=max_steps, backend="codegen")
+        run_program(program, max_steps=max_steps)
     assert str(route_error.value) == str(reference_error.value)
 
 

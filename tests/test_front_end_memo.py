@@ -14,8 +14,8 @@ from repro.benchmarks.suite import (
     compile_benchmark, compile_program, program_fingerprint)
 from repro.compaction import sequential, vliw
 from repro.evaluation import parallel
-from repro.evaluation.parallel import (
-    CacheStore, EvaluationEngine, EvaluationError)
+from repro.evaluation.cache import CacheStore
+from repro.evaluation.parallel import EvaluationEngine, EvaluationError
 from repro.evaluation.supervisor import SupervisorPolicy
 from repro.experiments import data
 from repro.intcode import optimize_program, translate

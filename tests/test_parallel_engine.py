@@ -14,8 +14,8 @@ import pytest
 from repro.benchmarks.programs import PROGRAMS, BenchmarkProgram
 from repro.compaction import sequential, vliw
 from repro.evaluation import parallel
-from repro.evaluation.parallel import (
-    CacheStore, EvaluationEngine, EvaluationError)
+from repro.evaluation.cache import CacheStore
+from repro.evaluation.parallel import EvaluationEngine, EvaluationError
 from tests.conftest import fresh_memos
 
 BENCHMARKS = ["conc30", "divide10"]

@@ -90,17 +90,17 @@ def test_profile_cache_records_backend(tmp_path, monkeypatch):
     assert cached.counts == result.counts
 
 
-def test_requested_backend_is_part_of_the_key(tmp_path, monkeypatch):
+def test_one_emulation_entry_per_program(tmp_path, monkeypatch):
+    """The key is the fingerprint alone: the loop that produced the
+    profile is provenance in the payload, not a key component."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(machine, "_COMPILE_AFTER_STEPS", 0)
     program = program_for(SOURCE_A)
-    reference = run_program_cached(program, "hello-", backend="reference")
-    compiled = run_program_cached(program, "hello-", backend="codegen")
-    assert (reference.backend, compiled.backend) == ("reference", "codegen")
-    assert compiled.counts == reference.counts
-    assert len(emulation_entries(tmp_path)) == 2
-    assert run_program_cached(program, "hello-",
-                              backend="reference").backend == "reference"
+    first = run_program_cached(program, "hello-")
+    second = run_program_cached(program, "hello-")
+    assert (first.backend, second.backend) == ("codegen", "codegen")
+    assert second.counts == machine.Emulator(program).run().counts
+    assert len(emulation_entries(tmp_path)) == 1
 
 
 def test_code_version_bump_recomputes(tmp_path, monkeypatch):

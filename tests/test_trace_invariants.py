@@ -23,7 +23,8 @@ import sys
 import pytest
 
 import repro
-from repro.evaluation.parallel import CacheStore, EvaluationEngine
+from repro.evaluation.cache import CacheStore
+from repro.evaluation.parallel import EvaluationEngine
 from repro.evaluation.supervisor import SupervisorPolicy
 from repro.observability import (
     Tracer, activation, render_trace, trace_lines, validate_trace,
