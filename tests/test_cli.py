@@ -122,14 +122,29 @@ def test_bench_quick_writes_schema_valid_record(tmp_path):
     assert validate_bench(document) == []
     assert [entry["name"] for entry in document["benchmarks"]] \
         == list(QUICK_BENCHMARKS)
+    assert document["summary"]["all_identical"] is True
+
+
+def test_bench_backend_subset(tmp_path):
+    import json
+    from repro.benchmarks.perf import validate_bench
+    output = str(tmp_path / "BENCH_emulator.json")
+    status, text, errors = run_cli(
+        ["bench", "conc30", "--repeat", "1", "--output", output])
+    assert status == 0, errors
+    with open(output) as handle:
+        document = json.load(handle)
+    assert validate_bench(document) == []
+    # a named subset still times both loops; the document names no backend
+    assert "backend" not in document
+    assert "backends_timed" not in document
+    assert [entry["name"] for entry in document["benchmarks"]] == ["conc30"]
     entry = document["benchmarks"][0]
     assert sorted(entry["backends"]) == ["codegen", "reference"]
     # each row names the loop that actually produced its profile
     assert entry["backends"]["reference"]["produced_by"] == "reference"
     assert entry["backends"]["codegen"]["produced_by"] == "codegen"
     assert "codegen" in entry["speedups"]
-    assert "backend" not in document
-    assert document["summary"]["all_identical"] is True
 
 
 def test_published_bench_document_validates():
