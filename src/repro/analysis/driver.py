@@ -34,13 +34,14 @@ from repro.benchmarks.suite import (
     compile_benchmark, program_fingerprint, run_program_cached)
 from repro.compaction.machine_model import ideal, sequential
 from repro.observability import tracing as observe
+from repro.records import check_header, header, require
 
 __all__ = [
     "ANALYZE_BENCH_SCHEMA",
     "analyze_benchmark",
     "analyze_bench_document",
+    "ilp_bound",
     "validate_analyze_bench",
-    "write_analyze_bench",
 ]
 
 #: tail-duplication budget of the trace regions (the evaluation default)
@@ -84,6 +85,33 @@ def _limit_cell(fingerprint, budget, config, region_set, use_cache):
          "budget": budget, "config": config_signature(config)},
         compute, use_cache=use_cache)
     return payload["cycles"]
+
+
+def ilp_bound(fingerprint, budget, bb_set, trace_set, use_cache=True):
+    """The static ILP triple of one program and the speedups it implies.
+
+    *bb_set* and *trace_set* are the program's basic-block and trace
+    region sets; the three cycle counts are memoised cells.
+    """
+    seq_cycles = _cycles_cell(fingerprint, "bb", None, sequential(),
+                              bb_set, use_cache)
+    achieved_cycles = _cycles_cell(fingerprint, "trace", budget,
+                                   ideal("ideal_tr"), trace_set,
+                                   use_cache)
+    limit_cycles = _limit_cell(fingerprint, budget, ideal("dataflow"),
+                               trace_set, use_cache)
+    achieved = seq_cycles / achieved_cycles
+    bound = seq_cycles / limit_cycles
+    return {
+        "sequential_cycles": seq_cycles,
+        "achieved_cycles": achieved_cycles,
+        "dataflow_limit_cycles": limit_cycles,
+        "achieved_speedup": achieved,
+        "dataflow_limit_speedup": bound,
+        # headroom factor: how much faster the pure dataflow limit is
+        # than what trace scheduling + BUG achieved
+        "gap": bound / achieved,
+    }
 
 
 def analyze_benchmark(name, budget=DEFAULT_BUDGET, use_cache=True):
@@ -181,26 +209,8 @@ def analyze_benchmark(name, budget=DEFAULT_BUDGET, use_cache=True):
                         census["independent"])
 
         with _pass_span("ilp_bound", name):
-            seq_cycles = _cycles_cell(fingerprint, "bb", None,
-                                      sequential(), bb_set, use_cache)
-            achieved_cycles = _cycles_cell(fingerprint, "trace", budget,
-                                           ideal("ideal_tr"), trace_set,
-                                           use_cache)
-            limit_cycles = _limit_cell(fingerprint, budget,
-                                       ideal("dataflow"), trace_set,
-                                       use_cache)
-        achieved = seq_cycles / achieved_cycles
-        bound = seq_cycles / limit_cycles
-        ilp = {
-            "sequential_cycles": seq_cycles,
-            "achieved_cycles": achieved_cycles,
-            "dataflow_limit_cycles": limit_cycles,
-            "achieved_speedup": achieved,
-            "dataflow_limit_speedup": bound,
-            # headroom factor: how much faster the pure dataflow limit
-            # is than what trace scheduling + BUG achieved
-            "gap": bound / achieved,
-        }
+            ilp = ilp_bound(fingerprint, budget, bb_set, trace_set,
+                            use_cache)
 
         from repro.analysis.report import target_entry
         return target_entry(name, diagnostics, ops=len(program),
@@ -210,7 +220,9 @@ def analyze_benchmark(name, budget=DEFAULT_BUDGET, use_cache=True):
 # --------------------------------------------------------------------------
 # The BENCH_analyze.json perf record (overhead budget of the analyzer).
 
-ANALYZE_BENCH_SCHEMA = 1
+ANALYZE_BENCH_SCHEMA = 2
+
+ANALYZE_BENCH_KIND = "analyze-perf"
 
 
 def analyze_bench_document(entries, elapsed_seconds):
@@ -221,72 +233,51 @@ def analyze_bench_document(entries, elapsed_seconds):
     (including the memoised scheduling cells, so a warm cache shows up
     as a lower total).
     """
-    from repro.benchmarks.perf import git_revision
     total_ops = sum(entry["ops"] for entry in entries)
-    return {
-        "schema": ANALYZE_BENCH_SCHEMA,
-        "kind": "analyze-perf",
-        "revision": git_revision(),
-        "benchmarks": list(entries),
-        "summary": {
+    return dict(
+        header(ANALYZE_BENCH_KIND, ANALYZE_BENCH_SCHEMA),
+        benchmarks=list(entries),
+        summary={
             "benchmarks": len(entries),
             "total_ops": total_ops,
             "total_seconds": round(elapsed_seconds, 4),
             "ops_per_second": round(total_ops / elapsed_seconds, 1)
             if elapsed_seconds > 0 else 0.0,
         },
-    }
+    )
 
 
 def validate_analyze_bench(document):
     """Schema problems of a BENCH_analyze.json document (empty=valid)."""
     problems = []
-
-    def require(condition, message):
-        if not condition:
-            problems.append(message)
-        return condition
-
-    if not require(isinstance(document, dict),
-                   "document is not an object"):
+    if not check_header(document, ANALYZE_BENCH_KIND,
+                        ANALYZE_BENCH_SCHEMA, problems):
         return problems
-    require(document.get("schema") == ANALYZE_BENCH_SCHEMA,
-            "'schema' is not %d" % ANALYZE_BENCH_SCHEMA)
-    require(document.get("kind") == "analyze-perf",
-            "'kind' is not 'analyze-perf'")
-    require(isinstance(document.get("revision"), str),
-            "'revision' is not a string")
     benchmarks = document.get("benchmarks")
-    if require(isinstance(benchmarks, list) and benchmarks,
+    if require(problems, isinstance(benchmarks, list) and benchmarks,
                "'benchmarks' is not a non-empty list"):
         for index, entry in enumerate(benchmarks):
             where = "benchmarks[%d]" % index
-            if not require(isinstance(entry, dict),
+            if not require(problems, isinstance(entry, dict),
                            "%s is not an object" % where):
                 continue
-            require(isinstance(entry.get("target"), str),
+            require(problems, isinstance(entry.get("target"), str),
                     "%s: 'target' is not a string" % where)
-            require(isinstance(entry.get("ops"), int)
+            require(problems, isinstance(entry.get("ops"), int)
                     and entry.get("ops", 0) > 0,
                     "%s: 'ops' is not a positive int" % where)
-            require(isinstance(entry.get("seconds"), (int, float))
+            require(problems, isinstance(entry.get("seconds"), (int, float))
                     and entry.get("seconds", -1) >= 0,
                     "%s: 'seconds' is not a non-negative number" % where)
     summary = document.get("summary")
-    if require(isinstance(summary, dict), "'summary' is not an object"):
-        require(summary.get("benchmarks") == len(benchmarks or []),
+    if require(problems, isinstance(summary, dict),
+               "'summary' is not an object"):
+        require(problems, summary.get("benchmarks") == len(benchmarks or []),
                 "'summary.benchmarks' does not count the entries")
         for key in ("total_ops", "total_seconds", "ops_per_second"):
-            require(isinstance(summary.get(key), (int, float)),
+            require(problems, isinstance(summary.get(key), (int, float)),
                     "'summary.%s' is not a number" % key)
     return problems
-
-
-def write_analyze_bench(document, path="BENCH_analyze.json"):
-    """Atomically publish the analyze perf record."""
-    from repro.atomicio import atomic_write_json
-    atomic_write_json(path, document, indent=2, sort_keys=True)
-    return path
 
 
 def timed_analyze(name, budget=DEFAULT_BUDGET, use_cache=True):

@@ -15,11 +15,13 @@ shared serializer.  The document layout (schema version 1)::
      "count": 2}
 
 Validation is hand-rolled (:func:`validate_diagnostics`,
-:func:`validate_analysis`) in the same style as
-:mod:`repro.benchmarks.perf` — the repository deliberately has no
-external schema dependency, and CI runs the validators over every
-emitted document.
+:func:`validate_analysis`) with the :func:`repro.records.require`
+helper the BENCH record validators use — the repository deliberately
+has no external schema dependency.  Each command validates its
+document before it prints or writes it and exits 1 on any problem.
 """
+
+from repro.records import require
 
 __all__ = [
     "DIAGNOSTICS_SCHEMA",
@@ -73,42 +75,36 @@ def diagnostics_document(tool, targets):
 # --------------------------------------------------------------------------
 # Validation (hand-rolled; no external schema library).
 
-def _require(problems, condition, message):
-    if not condition:
-        problems.append(message)
-    return condition
-
-
 def _validate_diagnostic(problems, where, value):
-    if not _require(problems, isinstance(value, dict),
-                    "%s: diagnostic is not an object" % where):
+    if not require(problems, isinstance(value, dict),
+                   "%s: diagnostic is not an object" % where):
         return
     for key in ("stage", "rule", "message"):
-        _require(problems, isinstance(value.get(key), str),
-                 "%s: %r is not a string" % (where, key))
+        require(problems, isinstance(value.get(key), str),
+                "%s: %r is not a string" % (where, key))
     pos = value.get("pos")
-    _require(problems, pos is None or isinstance(pos, int),
-             "%s: 'pos' is neither null nor an int" % where)
+    require(problems, pos is None or isinstance(pos, int),
+            "%s: 'pos' is neither null nor an int" % where)
     region = value.get("region")
-    _require(problems,
-             region is None
-             or (isinstance(region, list) and len(region) == 2
-                 and all(isinstance(item, int) for item in region)),
-             "%s: 'region' is neither null nor [start, end]" % where)
+    require(problems,
+            region is None
+            or (isinstance(region, list) and len(region) == 2
+                and all(isinstance(item, int) for item in region)),
+            "%s: 'region' is neither null nor [start, end]" % where)
 
 
 def _validate_target(problems, where, entry):
-    if not _require(problems, isinstance(entry, dict),
-                    "%s: target entry is not an object" % where):
+    if not require(problems, isinstance(entry, dict),
+                   "%s: target entry is not an object" % where):
         return
-    _require(problems, isinstance(entry.get("target"), str),
-             "%s: 'target' is not a string" % where)
+    require(problems, isinstance(entry.get("target"), str),
+            "%s: 'target' is not a string" % where)
     diagnostics = entry.get("diagnostics")
-    if _require(problems, isinstance(diagnostics, list),
-                "%s: 'diagnostics' is not a list" % where):
-        _require(problems, entry.get("count") == len(diagnostics),
-                 "%s: 'count' does not match the diagnostics list"
-                 % where)
+    if require(problems, isinstance(diagnostics, list),
+               "%s: 'diagnostics' is not a list" % where):
+        require(problems, entry.get("count") == len(diagnostics),
+                "%s: 'count' does not match the diagnostics list"
+                % where)
         for index, value in enumerate(diagnostics):
             _validate_diagnostic(
                 problems, "%s.diagnostics[%d]" % (where, index), value)
@@ -117,24 +113,24 @@ def _validate_target(problems, where, entry):
 def validate_diagnostics(document):
     """Schema problems of a diagnostics document (empty = valid)."""
     problems = []
-    if not _require(problems, isinstance(document, dict),
-                    "document is not an object"):
+    if not require(problems, isinstance(document, dict),
+                   "document is not an object"):
         return problems
-    _require(problems, document.get("schema") == DIAGNOSTICS_SCHEMA,
-             "'schema' is not %d" % DIAGNOSTICS_SCHEMA)
-    _require(problems, document.get("tool") in _TOOLS,
-             "'tool' is not one of %s" % (_TOOLS,))
+    require(problems, document.get("schema") == DIAGNOSTICS_SCHEMA,
+            "'schema' is not %d" % DIAGNOSTICS_SCHEMA)
+    require(problems, document.get("tool") in _TOOLS,
+            "'tool' is not one of %s" % (_TOOLS,))
     targets = document.get("targets")
-    if _require(problems, isinstance(targets, list),
-                "'targets' is not a list"):
+    if require(problems, isinstance(targets, list),
+               "'targets' is not a list"):
         total = 0
         for index, entry in enumerate(targets):
             _validate_target(problems, "targets[%d]" % index, entry)
             if isinstance(entry, dict) \
                     and isinstance(entry.get("count"), int):
                 total += entry["count"]
-        _require(problems, document.get("count") == total,
-                 "'count' does not sum the per-target counts")
+        require(problems, document.get("count") == total,
+                "'count' does not sum the per-target counts")
     return problems
 
 
@@ -152,8 +148,8 @@ def validate_analysis(document):
     problems = validate_diagnostics(document)
     if problems and not isinstance(document, dict):
         return problems
-    _require(problems, document.get("tool") == "analyze",
-             "'tool' is not 'analyze'")
+    require(problems, document.get("tool") == "analyze",
+            "'tool' is not 'analyze'")
     targets = document.get("targets")
     if not isinstance(targets, list):
         return problems
@@ -161,19 +157,19 @@ def validate_analysis(document):
         where = "targets[%d]" % index
         if not isinstance(entry, dict):
             continue
-        _require(problems, isinstance(entry.get("ops"), int),
-                 "%s: 'ops' is not an int" % where)
+        require(problems, isinstance(entry.get("ops"), int),
+                "%s: 'ops' is not an int" % where)
         passes = entry.get("passes")
-        if _require(problems, isinstance(passes, dict),
-                    "%s: 'passes' is not an object" % where):
+        if require(problems, isinstance(passes, dict),
+                   "%s: 'passes' is not an object" % where):
             for key in _PASS_KEYS:
-                _require(problems, isinstance(passes.get(key), dict),
-                         "%s.passes: %r is missing" % (where, key))
+                require(problems, isinstance(passes.get(key), dict),
+                        "%s.passes: %r is missing" % (where, key))
         ilp = entry.get("ilp")
-        if _require(problems, isinstance(ilp, dict),
-                    "%s: 'ilp' is not an object" % where):
+        if require(problems, isinstance(ilp, dict),
+                   "%s: 'ilp' is not an object" % where):
             for key in _ILP_KEYS:
-                _require(problems,
-                         isinstance(ilp.get(key), (int, float)),
-                         "%s.ilp: %r is not a number" % (where, key))
+                require(problems,
+                        isinstance(ilp.get(key), (int, float)),
+                        "%s.ilp: %r is not a number" % (where, key))
     return problems

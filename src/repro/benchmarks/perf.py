@@ -4,10 +4,10 @@ Times both emulator loops (``codegen`` and ``reference``) over (a
 subset of) the paper suite and emits ``BENCH_emulator.json``, the
 repository's perf-trajectory record: per-benchmark wall time and ICI
 throughput for each loop, the codegen-vs-reference speedups, and
-enough provenance (git revision, Python version, repeat count,
-producing loop per row) to compare runs across commits.  CI
-validates the document against :func:`validate_bench` and archives
-it; no timing gate is applied — the file is a trajectory, not a
+enough provenance (the :mod:`repro.records` header, repeat count,
+producing loop per row) to compare runs across commits.  ``repro
+bench`` publishes the document only when :func:`validate_bench`
+passes; no timing gate is applied — the file is a trajectory, not a
 pass/fail check.
 
 Every timed run also cross-checks both loops' results field by
@@ -24,29 +24,27 @@ percent over a bench run; interleaving puts every loop under the same
 drift instead of charging it all to whichever ran last.
 """
 
-import platform
-import subprocess
 import sys
 import timeit
 
-from repro.atomicio import atomic_write_json
 from repro.benchmarks.programs import TABLE_BENCHMARKS
 from repro.benchmarks.suite import compile_benchmark
 from repro.emulator import BACKENDS, CodegenEmulator, Emulator
+from repro.records import check_header, header, require
 
 __all__ = [
     "BENCH_SCHEMA",
     "QUICK_BENCHMARKS",
     "bench_document",
     "format_bench",
-    "git_revision",
     "time_backends",
     "validate_bench",
-    "write_bench",
 ]
 
 #: bump when the BENCH_emulator.json layout changes
-BENCH_SCHEMA = 3
+BENCH_SCHEMA = 4
+
+BENCH_KIND = "emulator-bench"
 
 #: the two cheapest suite members — the CI smoke subset
 QUICK_BENCHMARKS = ("conc30", "divide10")
@@ -57,19 +55,6 @@ _RUNNERS = {
 }
 
 _ABBREV = {"reference": "ref", "codegen": "cg"}
-
-
-def git_revision():
-    """The working tree's commit hash, or ``"unknown"`` outside git."""
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            timeout=10)
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    if completed.returncode != 0:
-        return "unknown"
-    return completed.stdout.strip()
 
 
 def _identical(left, right):
@@ -145,105 +130,82 @@ def bench_document(names=None, repeats=3, progress=None):
         entries.append(entry)
         if progress is not None:
             progress(entry)
-    return {
-        "schema": BENCH_SCHEMA,
-        "git_rev": git_revision(),
-        "python": platform.python_version(),
-        "implementation": sys.implementation.name,
-        "repeats": repeats,
-        "benchmarks": entries,
-        "summary": {
+    return dict(
+        header(BENCH_KIND, BENCH_SCHEMA),
+        implementation=sys.implementation.name,
+        repeats=repeats,
+        benchmarks=entries,
+        summary={
             "benchmarks": len(entries),
             "total_seconds": totals,
             "speedups": _speedups(totals),
             "all_identical": all(entry["identical"]
                                  for entry in entries),
         },
-    }
+    )
 
 
 def validate_bench(document):
-    """Schema problems of a BENCH_emulator.json document (empty = valid).
-
-    Checked by CI after the bench smoke run, and by any future PR that
-    wants to read the perf trajectory programmatically.
-    """
+    """Schema problems of a BENCH_emulator.json document (empty = valid)."""
     problems = []
-
-    def require(condition, message):
-        if not condition:
-            problems.append(message)
-
-    require(isinstance(document, dict), "document is not an object")
-    if not isinstance(document, dict):
+    if not check_header(document, BENCH_KIND, BENCH_SCHEMA, problems):
         return problems
-    require(document.get("schema") == BENCH_SCHEMA,
-            "schema is not %d" % BENCH_SCHEMA)
-    for field in ("git_rev", "python"):
-        require(isinstance(document.get(field), str),
-                "%s is not a string" % field)
-    require(isinstance(document.get("repeats"), int)
+    require(problems, isinstance(document.get("repeats"), int)
             and document.get("repeats", 0) >= 1,
             "repeats is not a positive integer")
     entries = document.get("benchmarks")
-    require(isinstance(entries, list) and entries,
+    require(problems, isinstance(entries, list) and entries,
             "benchmarks is not a non-empty list")
     for index, entry in enumerate(entries or []):
         where = "benchmarks[%d]" % index
-        if not isinstance(entry, dict):
-            problems.append("%s is not an object" % where)
+        if not require(problems, isinstance(entry, dict),
+                       "%s is not an object" % where):
             continue
-        require(isinstance(entry.get("name"), str),
+        require(problems, isinstance(entry.get("name"), str),
                 "%s.name is not a string" % where)
-        require(isinstance(entry.get("steps"), int)
+        require(problems, isinstance(entry.get("steps"), int)
                 and entry.get("steps", -1) >= 0,
                 "%s.steps is not a non-negative integer" % where)
-        require(entry.get("identical") is True,
+        require(problems, entry.get("identical") is True,
                 "%s.identical is not true" % where)
         backends = entry.get("backends")
-        if not isinstance(backends, dict):
-            problems.append("%s.backends is not an object" % where)
+        if not require(problems, isinstance(backends, dict),
+                       "%s.backends is not an object" % where):
             continue
-        require(sorted(backends) == sorted(BACKENDS),
+        require(problems, sorted(backends) == sorted(BACKENDS),
                 "%s.backends keys are not %s" % (where, sorted(BACKENDS)))
         for backend, timing in backends.items():
-            if not isinstance(timing, dict):
-                problems.append("%s.backends.%s is not an object"
-                                % (where, backend))
+            if not require(problems, isinstance(timing, dict),
+                           "%s.backends.%s is not an object"
+                           % (where, backend)):
                 continue
             for field in ("seconds", "icis_per_sec"):
                 value = timing.get(field)
-                require(isinstance(value, (int, float))
+                require(problems, isinstance(value, (int, float))
                         and value >= 0,
                         "%s.backends.%s.%s is not a non-negative "
                         "number" % (where, backend, field))
-            require(timing.get("produced_by") in BACKENDS,
+            require(problems, timing.get("produced_by") in BACKENDS,
                     "%s.backends.%s.produced_by is not one of %s"
                     % (where, backend, sorted(BACKENDS)))
         speedups = entry.get("speedups")
-        require(isinstance(speedups, dict)
+        require(problems, isinstance(speedups, dict)
                 and all(isinstance(value, (int, float))
                         for value in (speedups or {}).values()),
                 "%s.speedups is not an object of numbers" % where)
     summary = document.get("summary")
-    require(isinstance(summary, dict), "summary is not an object")
-    if isinstance(summary, dict):
-        require(summary.get("benchmarks") == len(entries or []),
+    if require(problems, isinstance(summary, dict),
+               "summary is not an object"):
+        require(problems, summary.get("benchmarks") == len(entries or []),
                 "summary.benchmarks does not match the entry count")
-        require(isinstance(summary.get("speedups"), dict),
+        require(problems, isinstance(summary.get("speedups"), dict),
                 "summary.speedups is not an object")
         totals = summary.get("total_seconds")
-        require(isinstance(totals, dict)
+        require(problems, isinstance(totals, dict)
                 and sorted(totals or {}) == sorted(BACKENDS),
                 "summary.total_seconds keys are not %s"
                 % (sorted(BACKENDS),))
     return problems
-
-
-def write_bench(document, path):
-    """Publish *document* as JSON at *path* (atomically: an interrupted
-    bench run never leaves a truncated or invalid record behind)."""
-    return atomic_write_json(path, document, indent=2, sort_keys=True)
 
 
 def format_bench(entry):

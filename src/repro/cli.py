@@ -34,8 +34,14 @@ degradation to in-process execution.  ``--cell-timeout`` /
 printed after each sweep, and ``--report PATH`` writes the structured
 :class:`EvaluationReport` as JSON.
 
-Exit codes: 0 = success/clean, 1 = violations found (lint/verify) or a
-failing program status, 2 = usage error, 130 = interrupted (SIGINT).
+The ``BENCH_*.json`` records (``bench``, ``analyze --perf``,
+``corpus``, ``query --sweep``, ``serve --load-test``) are published
+through :mod:`repro.records`: a record that fails its validator is not
+written and the command exits 1.
+
+Exit codes: 0 = success/clean, 1 = violations found (lint/verify), a
+failing program status, a sweep task that failed every attempt or an
+invalid record, 2 = usage error, 130 = interrupted (SIGINT).
 Diagnostics go to stderr.
 """
 
@@ -50,7 +56,7 @@ from repro.intcode import optimize_program
 from repro.emulator import run_program
 from repro.compaction import (
     sequential, bam_like, vliw, ideal, symbol3)
-from repro.intcode.ici import OP_CLASS, MEM, ALU, MOVE, CTRL
+from repro.intcode.ici import instruction_mix
 
 _MACHINES = {
     "seq": sequential,
@@ -137,14 +143,10 @@ def _analyze_file(args, out, err):
     from repro.analysis.branch_stats import branch_records, average_p_fp
     program = _load(args)
     result = run_program(program, max_steps=args.max_steps)
-    totals = {MEM: 0, ALU: 0, MOVE: 0, CTRL: 0}
-    for pc, count in enumerate(result.counts):
-        if count:
-            totals[OP_CLASS[program.instructions[pc].op]] += count
-    steps = sum(totals.values())
-    out.write("dynamic operations: %d\n" % steps)
-    for cls in (MEM, ALU, MOVE, CTRL):
-        out.write("  %-5s %5.1f%%\n" % (cls, 100 * totals[cls] / steps))
+    mix = instruction_mix(program, result.counts)
+    out.write("dynamic operations: %d\n" % sum(result.counts))
+    for cls, fraction in mix.items():
+        out.write("  %-5s %5.1f%%\n" % (cls, 100 * fraction))
     records = branch_records(program, result.counts, result.taken)
     out.write("branches: %d static, %d dynamic, average P_fp %.3f\n"
               % (len(records), sum(r.executed for r in records),
@@ -162,30 +164,21 @@ def _analyze_target(spec):
 def _analyze_suite(args, out, err):
     """Dataflow-pass sweep + static ILP bound over suite benchmarks."""
     import json
+    import time
     from repro.analysis.report import (
         diagnostics_document, validate_analysis)
-    from repro.benchmarks import PROGRAMS, TABLE_BENCHMARKS
-    from repro.evaluation.parallel import EvaluationError, configure
+    from repro.benchmarks import TABLE_BENCHMARKS
+    from repro.evaluation.parallel import configure
 
     names = args.bench or list(TABLE_BENCHMARKS)
-    unknown = [name for name in names if name not in PROGRAMS]
-    if unknown:
-        err.write("unknown benchmark(s) %s; available: %s\n"
-                  % (", ".join(sorted(unknown)),
-                     ", ".join(sorted(PROGRAMS))))
+    if _unknown_benchmarks(names, err):
         return 2
     engine = configure(jobs=_resolve_jobs(args),
                        policy=_supervisor_policy(args))
     specs = [{"bench": name, "budget": args.tail_dup_budget}
              for name in names]
-    import time
     started = time.perf_counter()
-    try:
-        results = engine.map(_analyze_target, specs)
-    except EvaluationError as error:
-        err.write(str(error) + "\n")
-        _write_supervisor_report(args, engine, out)
-        return 1
+    results = engine.map(_analyze_target, specs)
     elapsed = time.perf_counter() - started
 
     records = [record for record, _seconds in results]
@@ -194,28 +187,21 @@ def _analyze_suite(args, out, err):
     for problem in problems:
         err.write("analyze: schema problem: %s\n" % problem)
 
+    # Keep stdout pure JSON in --format json; notices go to stderr.
+    notice = err if args.format == "json" else out
+    published = True
     if args.perf:
         from repro.analysis.driver import (
-            analyze_bench_document, validate_analyze_bench,
-            write_analyze_bench)
+            analyze_bench_document, validate_analyze_bench)
         entries = [{"target": record["target"], "ops": record["ops"],
                     "seconds": round(seconds, 4)}
                    for record, seconds in results]
-        perf = analyze_bench_document(entries, elapsed)
-        for problem in validate_analyze_bench(perf):
-            err.write("analyze: perf schema problem: %s\n" % problem)
-            problems.append(problem)
-        write_analyze_bench(perf, args.perf)
-        # Keep stdout pure JSON in --format json; notices go to stderr.
-        notice = err if args.format == "json" else out
-        notice.write("wrote %s\n" % args.perf)
-
+        published = _publish(
+            "analyze", analyze_bench_document(entries, elapsed),
+            args.perf, validate_analyze_bench, notice, err)
     if args.output:
-        from repro.atomicio import atomic_write_json
-        atomic_write_json(args.output, document, indent=2,
-                          sort_keys=True)
-        notice = err if args.format == "json" else out
-        notice.write("wrote %s\n" % args.output)
+        published &= _publish("analyze", document, args.output,
+                              validate_analysis, notice, err)
     if args.format == "json":
         out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
     else:
@@ -235,16 +221,18 @@ def _analyze_suite(args, out, err):
         out.write("analyze: %d benchmark(s), %d diagnostic(s), %.1fs\n"
                   % (len(records), total, elapsed))
     _write_supervisor_report(args, engine, out)
-    return 1 if problems else 0
+    return 1 if problems or not published else 0
 
 
 def cmd_bench(args, out, err):
-    from repro.benchmarks import PROGRAMS, TABLE_BENCHMARKS
+    from repro.benchmarks import TABLE_BENCHMARKS
     from repro.benchmarks.perf import (
-        QUICK_BENCHMARKS, bench_document, format_bench, validate_bench,
-        write_bench)
+        QUICK_BENCHMARKS, bench_document, format_bench, validate_bench)
     if args.name and args.quick:
         err.write("bench: give benchmark names or --quick, not both\n")
+        return 2
+    if args.repeat < 1:
+        err.write("bench: --repeat must be at least 1\n")
         return 2
     if args.quick:
         names = list(QUICK_BENCHMARKS)
@@ -252,11 +240,7 @@ def cmd_bench(args, out, err):
         names = args.name
     else:
         names = list(TABLE_BENCHMARKS)
-    unknown = [name for name in names if name not in PROGRAMS]
-    if unknown:
-        err.write("unknown benchmark(s) %s; available: %s\n"
-                  % (", ".join(sorted(unknown)),
-                     ", ".join(sorted(PROGRAMS))))
+    if _unknown_benchmarks(names, err):
         return 2
     document = bench_document(
         names, repeats=args.repeat,
@@ -271,18 +255,37 @@ def cmd_bench(args, out, err):
     out.write("total: %s%s over %d benchmark(s)\n"
               % (totals, (" " + speedups if speedups else ""),
                  summary["benchmarks"]))
-    problems = validate_bench(document)
-    if problems:
-        for problem in problems:
-            err.write("bench: schema problem: %s\n" % problem)
-        return 1
-    path = write_bench(document, args.output)
-    out.write("wrote %s\n" % path)
-    if not summary["all_identical"]:
-        err.write("bench: emulator results differ — see 'identical' "
-                  "fields in %s\n" % path)
+    if not _publish("bench", document, args.output, validate_bench,
+                    out, err):
         return 1
     return 0
+
+
+def _unknown_benchmarks(names, err):
+    """Name the *names* that are no suite benchmark (on *err*); returns
+    whether there was any (a usage error)."""
+    from repro.benchmarks import PROGRAMS
+    unknown = [name for name in names if name not in PROGRAMS]
+    if unknown:
+        err.write("unknown benchmark(s) %s; available: %s\n"
+                  % (", ".join(sorted(unknown)),
+                     ", ".join(sorted(PROGRAMS))))
+    return bool(unknown)
+
+
+def _publish(tool, document, path, validate, out, err):
+    """Publish a record at *path* through :func:`repro.records.publish`:
+    on *out* a ``wrote`` notice, or on *err* each schema problem (and
+    nothing written).  Returns whether the record was written."""
+    from repro.records import publish
+    problems = publish(document, path, validate)
+    for problem in problems:
+        err.write("%s: schema problem: %s\n" % (tool, problem))
+    if problems:
+        err.write("%s: %s not written\n" % (tool, path))
+        return False
+    out.write("wrote %s\n" % path)
+    return True
 
 
 def _resolve_jobs(args):
@@ -425,23 +428,12 @@ def _report_profile_backends(out):
 
 def _evaluate_smoke(args, engine, out, err):
     """Evaluate a named subset of benchmarks (the CI smoke sweep)."""
-    from repro.benchmarks import PROGRAMS
-    from repro.evaluation import EvaluationError
     from repro.experiments.data import master_configs
-    unknown = [name for name in args.bench if name not in PROGRAMS]
-    if unknown:
-        err.write("unknown benchmark(s) %s; available: %s\n"
-                  % (", ".join(sorted(unknown)),
-                     ", ".join(sorted(PROGRAMS))))
+    if _unknown_benchmarks(args.bench, err):
         return 2
     configs = master_configs()
-    try:
-        evaluations = engine.evaluate_many(
-            [{"name": name, "configs": configs} for name in args.bench])
-    except EvaluationError as error:
-        err.write(str(error) + "\n")
-        _write_supervisor_report(args, engine, out)
-        return 1
+    evaluations = engine.evaluate_many(
+        [{"name": name, "configs": configs} for name in args.bench])
     keys = sorted(configs)
     out.write("%-12s %s %10s\n" % ("benchmark", " ".join(
         "%10s" % key for key in keys), "profile"))
@@ -539,9 +531,9 @@ def cmd_lint(args, out, err):
 
 
 def cmd_corpus(args, out, err):
-    from repro.evaluation.parallel import EvaluationError, configure
+    from repro.evaluation.parallel import configure
     from repro.experiments.corpus_sweep import (
-        run_corpus_sweep, validate_corpus_bench, write_corpus_bench)
+        run_corpus_sweep, validate_corpus_bench)
 
     if args.quick and args.count is not None:
         err.write("corpus: give --count or --quick, not both\n")
@@ -550,15 +542,9 @@ def cmd_corpus(args, out, err):
                                    if args.count is not None else 200)
     engine = configure(jobs=_resolve_jobs(args),
                        policy=_supervisor_policy(args))
-    try:
-        document = run_corpus_sweep(count, args.base_seed, engine=engine,
-                                    budget=args.tail_dup_budget,
-                                    saturation=args.quick
-                                    or args.saturation)
-    except EvaluationError as error:
-        err.write(str(error) + "\n")
-        _write_supervisor_report(args, engine, out)
-        return 1
+    document = run_corpus_sweep(count, args.base_seed, engine=engine,
+                                budget=args.tail_dup_budget,
+                                saturation=args.quick or args.saturation)
 
     summary = document["summary"]
     claim = summary["claim"]
@@ -591,13 +577,9 @@ def cmd_corpus(args, out, err):
                   % "  ".join("%s %.2fx" % (key, curve[key]["mean"])
                               for key in sorted(curve)))
 
-    problems = validate_corpus_bench(document)
-    if problems:
-        for problem in problems:
-            err.write("corpus: schema problem: %s\n" % problem)
+    if not _publish("corpus", document, args.output,
+                    validate_corpus_bench, out, err):
         return 1
-    path = write_corpus_bench(document, args.output)
-    out.write("wrote %s\n" % path)
     _write_supervisor_report(args, engine, out)
     if summary["oracle_mismatches"]:
         err.write("corpus: differential oracle mismatches: %s\n"
@@ -632,7 +614,7 @@ def _verify_target(spec):
 
 def cmd_verify(args, out, err):
     from repro.analysis import format_diagnostics
-    from repro.benchmarks import PROGRAMS, TABLE_BENCHMARKS
+    from repro.benchmarks import TABLE_BENCHMARKS
     from repro.evaluation.parallel import configure
     from repro.experiments.data import master_configs
 
@@ -653,25 +635,16 @@ def cmd_verify(args, out, err):
         specs.append(dict(common, file=args.file, entry=args.entry,
                           optimize=args.optimize))
     names = args.bench or ([] if args.file else list(TABLE_BENCHMARKS))
-    for name in names:
-        if name not in PROGRAMS:
-            err.write("unknown benchmark %r; available: %s\n"
-                      % (name, ", ".join(sorted(PROGRAMS))))
-            return 2
-        specs.append(dict(common, bench=name))
+    if _unknown_benchmarks(names, err):
+        return 2
+    specs.extend(dict(common, bench=name) for name in names)
 
     # The checker sweep is one independent task per target; fan the
     # targets over the shared engine's worker pool (supervised:
     # deadlines, bounded retry, pool resurrection).
-    from repro.evaluation.parallel import EvaluationError
     engine = configure(jobs=_resolve_jobs(args),
                        policy=_supervisor_policy(args))
-    try:
-        results = engine.map(_verify_target, specs)
-    except EvaluationError as error:
-        err.write(str(error) + "\n")
-        _write_supervisor_report(args, engine, out)
-        return 1
+    results = engine.map(_verify_target, specs)
 
     if args.format == "json":
         from repro.analysis.report import target_entry
@@ -748,7 +721,7 @@ async def _serve_async(config, out):
 def cmd_serve(args, out, err):
     if args.load_test:
         from repro.serve.loadtest import (
-            run_load_test, validate_serve_bench, write_serve_bench)
+            run_load_test, validate_serve_bench)
         document = run_load_test(
             requests=args.load_test, concurrency=args.concurrency,
             jobs=_resolve_jobs(args), url=args.url,
@@ -767,14 +740,8 @@ def cmd_serve(args, out, err):
                      "n/a" if document["warm_hit_rate"] is None
                      else "%.1f%%" % (100 * document["warm_hit_rate"]),
                      document["wrong_answers"]))
-        problems = validate_serve_bench(document)
-        path = write_serve_bench(document, args.output)
-        out.write("wrote %s\n" % path)
-        if problems:
-            for problem in problems:
-                err.write("serve: schema problem: %s\n" % problem)
-            return 1
-        return 0
+        return 0 if _publish("serve", document, args.output,
+                             validate_serve_bench, out, err) else 1
     import asyncio
     asyncio.run(_serve_async(_serve_config(args), out))
     return 0
@@ -807,7 +774,7 @@ def cmd_query(args, out, err):
             err.write("query: %s\n" % error.args[0])
             return 2
 
-    from repro.evaluation.parallel import EvaluationError, configure
+    from repro.evaluation.parallel import configure
     from repro.interp.engine import PrologError
     from repro.interp.orparallel import or_solutions, sequential_answers
     engine = configure(jobs=max(1, args.or_jobs),
@@ -818,10 +785,6 @@ def cmd_query(args, out, err):
                               limit=args.limit)
     except PrologError as error:
         err.write("query: %s\n" % error)
-        return 1
-    except EvaluationError as error:
-        err.write(str(error) + "\n")
-        _write_supervisor_report(args, engine, out)
         return 1
 
     if result["output"]:
@@ -857,17 +820,11 @@ def cmd_query(args, out, err):
 
 
 def _query_sweep(args, out, err):
-    from repro.evaluation.parallel import EvaluationError
     from repro.experiments.orparallel_bench import (
-        run_orparallel_bench, validate_orparallel_bench,
-        write_orparallel_bench)
-    try:
-        document = run_orparallel_bench(
-            quick=args.quick, policy=_supervisor_policy(args),
-            progress=lambda name: out.write("query: %s\n" % name))
-    except EvaluationError as error:
-        err.write(str(error) + "\n")
-        return 1
+        run_orparallel_bench, validate_orparallel_bench)
+    document = run_orparallel_bench(
+        quick=args.quick, policy=_supervisor_policy(args),
+        progress=lambda name: out.write("query: %s\n" % name))
 
     differential = document["differential"]
     out.write("differential: %d program(s) x or-jobs %s: "
@@ -891,14 +848,10 @@ def _query_sweep(args, out, err):
                   % (entry["name"], entry["ilp_speedup"],
                      entry["or_speedup"], entry["stacked_speedup"]))
 
-    problems = validate_orparallel_bench(document)
-    if problems:
-        for problem in problems:
-            err.write("query: schema problem: %s\n" % problem)
+    if not _publish("query", document,
+                    args.output or "results/BENCH_orparallel.json",
+                    validate_orparallel_bench, out, err):
         return 1
-    path = write_orparallel_bench(
-        document, args.output or "results/BENCH_orparallel.json")
-    out.write("wrote %s\n" % path)
     if differential["mismatches"]:
         err.write("query: differential mismatches: %s\n"
                   % ", ".join(differential["mismatches"]))
@@ -1205,8 +1158,16 @@ def main(argv=None, out=None, err=None):
         return 2
     if args.command == "speedup" and not args.machine:
         args.machine = ["vliw3"]
+    from repro.evaluation.parallel import EvaluationError, shared_engine
     try:
         return args.func(args, out, err)
+    except EvaluationError as error:
+        # Some sweep task still failed after its retries; the rest of
+        # the sweep ran.  Name the failures, then the supervisor's
+        # summary (and --report) as after any sweep.
+        err.write(str(error) + "\n")
+        _write_supervisor_report(args, shared_engine(), out)
+        return 1
     except KeyboardInterrupt:
         # Cooperative cancellation (the supervisor converts
         # SIGINT/SIGTERM into this): completed artefacts are already

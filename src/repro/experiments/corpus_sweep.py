@@ -29,7 +29,9 @@ import time
 
 from repro.analysis.branch_stats import (
     average_p_fp, branch_records, taken_rule_stats)
-from repro.intcode.ici import OP_CLASS
+# the Figure 5 mix under the name the golden-number tests import
+from repro.intcode.ici import instruction_mix as _instruction_mix
+from repro.records import check_header, header, require
 
 __all__ = [
     "CORPUS_BENCH_SCHEMA",
@@ -41,10 +43,11 @@ __all__ = [
     "run_corpus_sweep",
     "sweep_target",
     "validate_corpus_bench",
-    "write_corpus_bench",
 ]
 
-CORPUS_BENCH_SCHEMA = 1
+CORPUS_BENCH_SCHEMA = 2
+
+CORPUS_BENCH_KIND = "corpus-sweep"
 
 #: the master-config slice every corpus program is verified under —
 #: the sequential reference, a realistic 3-unit VLIW and the paper's
@@ -70,17 +73,6 @@ def _corpus_configs():
     return {key: full[key] for key in CORPUS_CONFIG_KEYS}
 
 
-def _instruction_mix(program, counts):
-    """Executed instruction mix over the Figure 5 operation classes."""
-    totals = {"mem": 0, "alu": 0, "move": 0, "ctrl": 0}
-    for pc, instruction in enumerate(program.instructions):
-        totals[OP_CLASS[instruction.op]] += counts[pc]
-    executed = sum(totals.values())
-    if executed == 0:
-        return dict.fromkeys(totals, 0.0)
-    return {key: value / executed for key, value in totals.items()}
-
-
 def sweep_target(spec):
     """Process one corpus program end to end (pool worker).
 
@@ -91,10 +83,9 @@ def sweep_target(spec):
     """
     import re
 
-    from repro.analysis.driver import _cycles_cell, _limit_cell
+    from repro.analysis.driver import _cycles_cell, ilp_bound
     from repro.benchmarks.suite import (
         compile_program, program_fingerprint, run_program_cached)
-    from repro.compaction.machine_model import ideal, sequential
     from repro.evaluation.pipeline import (
         basic_block_regions, superblock_regions, verify_evaluation)
     from repro.interp import Engine
@@ -141,22 +132,7 @@ def sweep_target(spec):
 
     bb_set = basic_block_regions(program, result)
     trace_set = superblock_regions(program, result, budget, hint)
-    seq_cycles = _cycles_cell(fingerprint, "bb", None, sequential(),
-                              bb_set, True)
-    achieved_cycles = _cycles_cell(fingerprint, "trace", budget,
-                                   ideal("ideal_tr"), trace_set, True)
-    limit_cycles = _limit_cell(fingerprint, budget, ideal("dataflow"),
-                               trace_set, True)
-    achieved = seq_cycles / achieved_cycles
-    bound = seq_cycles / limit_cycles
-    ilp = {
-        "sequential_cycles": seq_cycles,
-        "achieved_cycles": achieved_cycles,
-        "dataflow_limit_cycles": limit_cycles,
-        "achieved_speedup": achieved,
-        "dataflow_limit_speedup": bound,
-        "gap": bound / achieved,
-    }
+    ilp = ilp_bound(fingerprint, budget, bb_set, trace_set)
 
     record = {
         "name": name,
@@ -188,7 +164,7 @@ def sweep_target(spec):
             config, _regioning = widths["vliw%d" % width]
             cycles = _cycles_cell(fingerprint, "trace", budget, config,
                                   trace_set, True)
-            curve["vliw%d" % width] = (seq_cycles / cycles
+            curve["vliw%d" % width] = (ilp["sequential_cycles"] / cycles
                                        if cycles else 0.0)
         record["saturation"] = curve
 
@@ -301,8 +277,6 @@ def _claim_report(records):
 
 def corpus_document(records, elapsed_seconds, count, base_seed):
     """The ``BENCH_corpus.json`` document for one sweep."""
-    from repro.benchmarks.perf import git_revision
-
     mismatches = [r["name"] for r in records if not r["oracle"]["match"]]
     findings = [r["name"] for r in records if r["verify_findings"]]
     gaps = [r["ilp"]["gap"] for r in records]
@@ -316,17 +290,15 @@ def corpus_document(records, elapsed_seconds, count, base_seed):
             [r["saturation"]["vliw%d" % width] for r in with_curve])
         for width in SATURATION_WIDTHS
     } if with_curve else None
-    document = {
-        "schema": CORPUS_BENCH_SCHEMA,
-        "kind": "corpus-sweep",
-        "revision": git_revision(),
-        "parameters": {
+    document = dict(
+        header(CORPUS_BENCH_KIND, CORPUS_BENCH_SCHEMA),
+        parameters={
             "count": count,
             "base_seed": base_seed,
             "machine_configs": list(CORPUS_CONFIG_KEYS),
         },
-        "programs": list(records),
-        "summary": {
+        programs=list(records),
+        summary={
             "programs": len(records),
             "generated": len(generated),
             "dcg_workloads": len(dcg),
@@ -341,7 +313,7 @@ def corpus_document(records, elapsed_seconds, count, base_seed):
             },
             "claim": _claim_report(records),
         },
-    }
+    )
     if saturation is not None:
         document["summary"]["saturation"] = saturation
     return document
@@ -350,58 +322,46 @@ def corpus_document(records, elapsed_seconds, count, base_seed):
 def validate_corpus_bench(document):
     """Schema problems of a BENCH_corpus.json document (empty=valid)."""
     problems = []
-
-    def require(condition, message):
-        if not condition:
-            problems.append(message)
-        return condition
-
-    if not require(isinstance(document, dict),
-                   "document is not an object"):
+    if not check_header(document, CORPUS_BENCH_KIND, CORPUS_BENCH_SCHEMA,
+                        problems):
         return problems
-    require(document.get("schema") == CORPUS_BENCH_SCHEMA,
-            "'schema' is not %d" % CORPUS_BENCH_SCHEMA)
-    require(document.get("kind") == "corpus-sweep",
-            "'kind' is not 'corpus-sweep'")
-    require(isinstance(document.get("revision"), str),
-            "'revision' is not a string")
     parameters = document.get("parameters")
-    if require(isinstance(parameters, dict),
+    if require(problems, isinstance(parameters, dict),
                "'parameters' is not an object"):
-        require(isinstance(parameters.get("count"), int),
+        require(problems, isinstance(parameters.get("count"), int),
                 "'parameters.count' is not an int")
-        require(isinstance(parameters.get("base_seed"), int),
+        require(problems, isinstance(parameters.get("base_seed"), int),
                 "'parameters.base_seed' is not an int")
     programs = document.get("programs")
-    if require(isinstance(programs, list) and programs,
+    if require(problems, isinstance(programs, list) and programs,
                "'programs' is not a non-empty list"):
         for index, record in enumerate(programs):
             where = "programs[%d]" % index
-            if not require(isinstance(record, dict),
+            if not require(problems, isinstance(record, dict),
                            "%s is not an object" % where):
                 continue
-            require(isinstance(record.get("name"), str),
+            require(problems, isinstance(record.get("name"), str),
                     "%s: 'name' is not a string" % where)
-            require(record.get("kind") in ("generated", "dcg"),
+            require(problems, record.get("kind") in ("generated", "dcg"),
                     "%s: 'kind' is not generated/dcg" % where)
             oracle = record.get("oracle")
-            require(isinstance(oracle, dict)
+            require(problems, isinstance(oracle, dict)
                     and isinstance(oracle.get("match"), bool),
                     "%s: 'oracle.match' is not a bool" % where)
-            require(isinstance(record.get("verify_findings"), int),
+            require(problems, isinstance(record.get("verify_findings"), int),
                     "%s: 'verify_findings' is not an int" % where)
             branch = record.get("branch")
-            require(isinstance(branch, dict)
+            require(problems, isinstance(branch, dict)
                     and isinstance(branch.get("avg_p_fp"),
                                    (int, float)),
                     "%s: 'branch.avg_p_fp' is not a number" % where)
             ilp = record.get("ilp")
-            require(isinstance(ilp, dict)
+            require(problems, isinstance(ilp, dict)
                     and isinstance(ilp.get("gap"), (int, float)),
                     "%s: 'ilp.gap' is not a number" % where)
             if "saturation" in record:
                 curve = record["saturation"]
-                require(isinstance(curve, dict)
+                require(problems, isinstance(curve, dict)
                         and sorted(curve) == sorted(
                             "vliw%d" % w for w in SATURATION_WIDTHS)
                         and all(isinstance(v, (int, float))
@@ -409,36 +369,39 @@ def validate_corpus_bench(document):
                         "%s: 'saturation' is not a full vliw1..vliw%d "
                         "number curve" % (where, SATURATION_WIDTHS[-1]))
             mix = record.get("mix")
-            if require(isinstance(mix, dict),
+            if require(problems, isinstance(mix, dict),
                        "%s: 'mix' is not an object" % where):
-                require(abs(sum(mix.values()) - 1.0) < 1e-6,
+                require(problems, abs(sum(mix.values()) - 1.0) < 1e-6,
                         "%s: 'mix' does not sum to 1" % where)
     summary = document.get("summary")
-    if require(isinstance(summary, dict), "'summary' is not an object"):
-        require(summary.get("programs") == len(programs or []),
+    if require(problems, isinstance(summary, dict),
+               "'summary' is not an object"):
+        require(problems, summary.get("programs") == len(programs or []),
                 "'summary.programs' does not count the records")
-        require(isinstance(summary.get("oracle_mismatches"), list),
+        require(problems, isinstance(summary.get("oracle_mismatches"), list),
                 "'summary.oracle_mismatches' is not a list")
-        require(isinstance(summary.get("verify_finding_programs"), list),
+        require(problems,
+                isinstance(summary.get("verify_finding_programs"), list),
                 "'summary.verify_finding_programs' is not a list")
         claim = summary.get("claim")
-        if require(isinstance(claim, dict),
+        if require(problems, isinstance(claim, dict),
                    "'summary.claim' is not an object"):
-            require(isinstance(claim.get("predictable_fraction"),
+            require(problems,
+                    isinstance(claim.get("predictable_fraction"),
                                (int, float)),
                     "'claim.predictable_fraction' is not a number")
-            require(isinstance(claim.get("p_fp_histogram"), dict),
+            require(problems, isinstance(claim.get("p_fp_histogram"), dict),
                     "'claim.p_fp_histogram' is not an object")
         ilp = summary.get("ilp")
-        if require(isinstance(ilp, dict),
+        if require(problems, isinstance(ilp, dict),
                    "'summary.ilp' is not an object"):
             for key in ("achieved_speedup", "dataflow_limit_speedup",
                         "gap"):
-                require(isinstance(ilp.get(key), dict),
+                require(problems, isinstance(ilp.get(key), dict),
                         "'summary.ilp.%s' is not an object" % key)
         if "saturation" in summary:
             curve = summary["saturation"]
-            require(isinstance(curve, dict)
+            require(problems, isinstance(curve, dict)
                     and sorted(curve) == sorted(
                         "vliw%d" % w for w in SATURATION_WIDTHS)
                     and all(isinstance(v, dict)
@@ -446,18 +409,6 @@ def validate_corpus_bench(document):
                     "'summary.saturation' is not a full vliw1..vliw%d "
                     "quantile curve" % SATURATION_WIDTHS[-1])
     return problems
-
-
-def write_corpus_bench(document, path="results/BENCH_corpus.json"):
-    """Atomically publish the corpus sweep record."""
-    import os
-
-    from repro.atomicio import atomic_write_json
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    atomic_write_json(path, document, indent=2, sort_keys=True)
-    return path
 
 
 def run_corpus_sweep(count, base_seed, engine=None,

@@ -6,36 +6,30 @@ simulation of the benchmarks and with the hypothesis that all operations
 have the same duration", and branches are "more than 15%".
 """
 
-from repro.intcode.ici import OP_CLASS, MEM, ALU, MOVE, CTRL
+from repro.intcode.ici import OP_CLASSES, instruction_mix
 from repro.experiments.data import get_profile, get_profiles, \
     all_benchmarks
 from repro.experiments.render import render_table, fmt
-
-CLASSES = (MEM, ALU, MOVE, CTRL)
 
 
 def benchmark_mix(name):
     """Dynamic operation-class fractions of one benchmark."""
     program, result = get_profile(name)
-    totals = {cls: 0 for cls in CLASSES}
-    for pc, count in enumerate(result.counts):
-        if count:
-            totals[OP_CLASS[program.instructions[pc].op]] += count
-    steps = sum(totals.values())
-    return {cls: totals[cls] / steps for cls in CLASSES}, steps
+    return (instruction_mix(program, result.counts),
+            sum(result.counts))
 
 
 def compute(benchmarks=None):
     benchmarks = benchmarks or all_benchmarks()
     get_profiles(benchmarks)  # emulate cold profiles in parallel
     rows = {}
-    weight_sum = {cls: 0.0 for cls in CLASSES}
+    weight_sum = {cls: 0.0 for cls in OP_CLASSES}
     for name in benchmarks:
         mix, steps = benchmark_mix(name)
         rows[name] = {"mix": mix, "steps": steps}
-        for cls in CLASSES:
+        for cls in OP_CLASSES:
             weight_sum[cls] += mix[cls]
-    average = {cls: weight_sum[cls] / len(benchmarks) for cls in CLASSES}
+    average = {cls: weight_sum[cls] / len(benchmarks) for cls in OP_CLASSES}
     return {"benchmarks": rows, "average": average}
 
 
@@ -45,10 +39,10 @@ def render(data=None):
     for name in sorted(data["benchmarks"]):
         entry = data["benchmarks"][name]
         mix = entry["mix"]
-        rows.append([name] + [fmt(100 * mix[c], 1) for c in CLASSES]
+        rows.append([name] + [fmt(100 * mix[c], 1) for c in OP_CLASSES]
                     + [entry["steps"]])
     average = data["average"]
-    rows.append(["AVERAGE"] + [fmt(100 * average[c], 1) for c in CLASSES]
+    rows.append(["AVERAGE"] + [fmt(100 * average[c], 1) for c in OP_CLASSES]
                 + [""])
     return render_table(
         "Figure 2 -- dynamic instruction mix (%)",

@@ -37,6 +37,8 @@ are part of the contract.
 import os
 import time
 
+from repro.records import check_header, header, require
+
 __all__ = [
     "ADVERSARIAL_PROGRAMS",
     "DIFFERENTIAL_JOBS",
@@ -44,10 +46,11 @@ __all__ = [
     "SEARCH_WORKLOADS",
     "run_orparallel_bench",
     "validate_orparallel_bench",
-    "write_orparallel_bench",
 ]
 
-ORPARALLEL_BENCH_SCHEMA = 1
+ORPARALLEL_BENCH_SCHEMA = 2
+
+ORPARALLEL_BENCH_KIND = "orparallel-bench"
 
 #: or-jobs levels the differential section checks
 DIFFERENTIAL_JOBS = (1, 2, 4)
@@ -305,10 +308,8 @@ def _run_stacking(search, engine, quick):
 
 def run_orparallel_bench(quick=False, policy=None, progress=None):
     """Run the whole bench; returns the document (not yet written)."""
-    import platform
     import tempfile
 
-    from repro.benchmarks.perf import git_revision
     from repro.evaluation.cache import CacheStore
     from repro.evaluation.parallel import EvaluationEngine
 
@@ -334,138 +335,111 @@ def run_orparallel_bench(quick=False, policy=None, progress=None):
     finally:
         for engine in engines.values():
             engine.close()
-    return {
-        "schema": ORPARALLEL_BENCH_SCHEMA,
-        "kind": "orparallel-bench",
-        "revision": git_revision(),
-        "python": platform.python_version(),
-        "parameters": {
+    # The header's cpu_count bounds every wall-clock or-speedup: on a
+    # 1-CPU host ~1.0x at any jobs level is the honest reading and the
+    # differential oracle is the point.
+    return dict(
+        header(ORPARALLEL_BENCH_KIND, ORPARALLEL_BENCH_SCHEMA),
+        parameters={
             "jobs_levels": list(levels),
             "quick": bool(quick),
             "corpus_slice": 10 if quick else CORPUS_SLICE,
             "differential_limit": DIFFERENTIAL_LIMIT,
-            # wall-clock or-speedups are bounded by physical cores;
-            # on a 1-CPU host ~1.0x at any jobs level is the honest
-            # reading and the differential oracle is the point
-            "cpu_count": os.cpu_count() or 1,
         },
-        "differential": differential,
-        "search": search,
-        "stacking": stacking,
-        "total_seconds": round(time.perf_counter() - started, 3),
-    }
+        differential=differential,
+        search=search,
+        stacking=stacking,
+        total_seconds=round(time.perf_counter() - started, 3),
+    )
 
 
 def validate_orparallel_bench(document):
     """Schema problems of a BENCH_orparallel.json doc (empty=valid)."""
     problems = []
-
-    def require(condition, message):
-        if not condition:
-            problems.append(message)
-        return condition
-
-    if not require(isinstance(document, dict),
-                   "document is not an object"):
+    if not check_header(document, ORPARALLEL_BENCH_KIND,
+                        ORPARALLEL_BENCH_SCHEMA, problems):
         return problems
-    require(document.get("schema") == ORPARALLEL_BENCH_SCHEMA,
-            "'schema' is not %d" % ORPARALLEL_BENCH_SCHEMA)
-    require(document.get("kind") == "orparallel-bench",
-            "'kind' is not 'orparallel-bench'")
-    require(isinstance(document.get("revision"), str),
-            "'revision' is not a string")
-    require(isinstance(document.get("python"), str),
-            "'python' is not a string")
     parameters = document.get("parameters")
     levels = []
-    if require(isinstance(parameters, dict),
+    if require(problems, isinstance(parameters, dict),
                "'parameters' is not an object"):
         levels = parameters.get("jobs_levels")
-        require(isinstance(levels, list) and levels
+        require(problems, isinstance(levels, list) and levels
                 and all(isinstance(level, int) and level >= 1
                         for level in levels),
                 "'parameters.jobs_levels' is not a list of ints >= 1")
     differential = document.get("differential")
-    if require(isinstance(differential, dict),
+    if require(problems, isinstance(differential, dict),
                "'differential' is not an object"):
         programs = differential.get("programs")
-        if require(isinstance(programs, list) and programs,
+        if require(problems, isinstance(programs, list) and programs,
                    "'differential.programs' is not a non-empty list"):
             keys = [str(level) for level in (levels or [])]
             for index, record in enumerate(programs):
                 where = "differential.programs[%d]" % index
-                if not require(isinstance(record, dict),
+                if not require(problems, isinstance(record, dict),
                                "%s is not an object" % where):
                     continue
-                require(isinstance(record.get("name"), str),
+                require(problems, isinstance(record.get("name"), str),
                         "%s: 'name' is not a string" % where)
-                require(record.get("kind") in
+                require(problems, record.get("kind") in
                         ("suite", "dcg", "corpus", "search",
                          "adversarial"),
                         "%s: unknown 'kind'" % where)
                 for field in ("mode_by_jobs", "match_by_jobs"):
                     table = record.get(field)
-                    require(isinstance(table, dict)
+                    require(problems, isinstance(table, dict)
                             and (not keys or sorted(table) ==
                                  sorted(keys)),
                             "%s: '%s' does not cover every jobs "
                             "level" % (where, field))
-        require(differential.get("checked") == len(programs or []),
+        require(problems, differential.get("checked") == len(programs or []),
                 "'differential.checked' does not count the records")
-        require(isinstance(differential.get("mismatches"), list),
+        require(problems, isinstance(differential.get("mismatches"), list),
                 "'differential.mismatches' is not a list")
-        require(isinstance(differential.get("fallback_violations"),
+        require(problems, isinstance(differential.get("fallback_violations"),
                            list),
                 "'differential.fallback_violations' is not a list")
-        require(isinstance(differential.get("splits"), int)
+        require(problems, isinstance(differential.get("splits"), int)
                 and differential.get("splits", 0) > 0,
                 "'differential.splits' is not a positive int (no "
                 "goal actually split)")
     search = document.get("search")
-    if require(isinstance(search, dict), "'search' is not an object"):
+    if require(problems, isinstance(search, dict),
+               "'search' is not an object"):
         workloads = search.get("workloads")
-        if require(isinstance(workloads, list)
+        if require(problems, isinstance(workloads, list)
                    and len(workloads or []) == len(SEARCH_WORKLOADS),
                    "'search.workloads' does not cover every workload"):
             for record in workloads:
                 where = "search.workloads[%s]" % record.get("name")
-                require(isinstance(record.get("branches"), int)
+                require(problems, isinstance(record.get("branches"), int)
                         and record["branches"] >= 2,
                         "%s: 'branches' is not an int >= 2" % where)
                 memo = record.get("memo")
-                if require(isinstance(memo, dict),
+                if require(problems, isinstance(memo, dict),
                            "%s: 'memo' is not an object" % where):
-                    require(memo.get("warm_mode") == "memo",
+                    require(problems, memo.get("warm_mode") == "memo",
                             "%s: warm query was not served from the "
                             "memo" % where)
-                    require(isinstance(memo.get("hit_rate"),
+                    require(problems, isinstance(memo.get("hit_rate"),
                                        (int, float))
                             and memo["hit_rate"] > 0,
                             "%s: 'memo.hit_rate' is not positive"
                             % where)
     stacking = document.get("stacking")
-    if require(isinstance(stacking, dict),
+    if require(problems, isinstance(stacking, dict),
                "'stacking' is not an object"):
         entries = stacking.get("benchmarks")
-        if require(isinstance(entries, list) and entries,
+        if require(problems, isinstance(entries, list) and entries,
                    "'stacking.benchmarks' is not a non-empty list"):
             for entry in entries:
                 where = "stacking.benchmarks[%s]" % entry.get("name")
                 for field in ("ilp_speedup", "or_speedup",
                               "stacked_speedup"):
-                    require(isinstance(entry.get(field), (int, float))
+                    require(problems,
+                            isinstance(entry.get(field), (int, float))
                             and entry.get(field, 0) > 0,
                             "%s: '%s' is not a positive number"
                             % (where, field))
     return problems
-
-
-def write_orparallel_bench(document,
-                           path="results/BENCH_orparallel.json"):
-    """Atomically publish the or-parallel bench record."""
-    from repro.atomicio import atomic_write_json
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    atomic_write_json(path, document, indent=2, sort_keys=True)
-    return path

@@ -40,6 +40,24 @@ OP_CLASS = {
     "jmp": CTRL, "jmpr": CTRL, "call": CTRL, "halt": CTRL,
 }
 
+#: the operation classes in Figure 5's order
+OP_CLASSES = (MEM, ALU, MOVE, CTRL)
+
+
+def instruction_mix(program, counts):
+    """Executed fraction of each operation class (Fig. 5) of *program*,
+    *counts* being its per-pc execution counts (all 0.0 when nothing
+    ran)."""
+    totals = dict.fromkeys(OP_CLASSES, 0)
+    for pc, count in enumerate(counts):
+        if count:
+            totals[OP_CLASS[program.instructions[pc].op]] += count
+    executed = sum(totals.values())
+    if executed == 0:
+        return dict.fromkeys(OP_CLASSES, 0.0)
+    return {cls: total / executed for cls, total in totals.items()}
+
+
 BRANCH_OPS = frozenset(
     ["btag", "bntag", "beq", "bne", "bltv", "blev", "bgtv", "bgev"])
 JUMP_OPS = frozenset(["jmp", "jmpr", "call", "halt"])

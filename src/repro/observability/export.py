@@ -26,6 +26,7 @@ byte-identical documents, which the invariant suite asserts.
 import json
 
 from repro.atomicio import atomic_write_text
+from repro.records import require
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -93,22 +94,18 @@ def load_trace(path):
 def validate_trace(lines):
     """Schema/invariant problems of a trace document (empty = valid)."""
     problems = []
-
-    def require(condition, message):
-        if not condition:
-            problems.append(message)
-
     if not isinstance(lines, list) or not lines:
         return ["trace is not a non-empty list of records"]
     header = lines[0]
     if not isinstance(header, dict) or header.get("type") != "run":
         problems.append("first record is not the run header")
         header = {}
-    require(header.get("schema") == TRACE_SCHEMA,
+    require(problems, header.get("schema") == TRACE_SCHEMA,
             "run.schema is not %d" % TRACE_SCHEMA)
-    require(isinstance(header.get("run_id"), str) and header.get("run_id"),
+    require(problems,
+            isinstance(header.get("run_id"), str) and header.get("run_id"),
             "run.run_id is not a non-empty string")
-    require(isinstance(header.get("deterministic"), bool),
+    require(problems, isinstance(header.get("deterministic"), bool),
             "run.deterministic is not a boolean")
 
     footer = lines[-1]
@@ -116,11 +113,12 @@ def validate_trace(lines):
         problems.append("last record is not the metrics footer")
         footer = {}
     counters = footer.get("counters")
-    require(isinstance(counters, dict), "metrics.counters is not an object")
+    require(problems, isinstance(counters, dict),
+            "metrics.counters is not an object")
     for name, value in (counters or {}).items():
-        require(isinstance(value, int) and value >= 0,
+        require(problems, isinstance(value, int) and value >= 0,
                 "counter %s is not a non-negative integer" % name)
-    require(isinstance(footer.get("gauges"), dict),
+    require(problems, isinstance(footer.get("gauges"), dict),
             "metrics.gauges is not an object")
 
     spans = {}
@@ -139,12 +137,13 @@ def validate_trace(lines):
             problems.append("%s: duplicate span id" % where)
             continue
         spans[span_id] = record
-        require(isinstance(record.get("name"), str) and record.get("name"),
+        require(problems,
+                isinstance(record.get("name"), str) and record.get("name"),
                 "%s has no name" % where)
-        require(record.get("status") in ("ok", "error"),
+        require(problems, record.get("status") in ("ok", "error"),
                 "%s status %r is not ok/error" % (where,
                                                   record.get("status")))
-        require(isinstance(record.get("attrs"), dict),
+        require(problems, isinstance(record.get("attrs"), dict),
                 "%s attrs is not an object" % where)
         seq = record.get("seq")
         if (not isinstance(seq, list) or len(seq) != 2
@@ -152,15 +151,16 @@ def validate_trace(lines):
             problems.append("%s seq is not an [open, close] integer pair "
                             "— an unclosed span?" % where)
             continue
-        require(seq[0] < seq[1], "%s closed before it opened" % where)
+        require(problems, seq[0] < seq[1],
+                "%s closed before it opened" % where)
         seqs.extend(seq)
 
-    require(header.get("spans") == len(spans),
+    require(problems, header.get("spans") == len(spans),
             "run.spans does not match the span record count")
     if not problems:
         # Complete traces tick the clock once per open and once per
         # close: the seq values are exactly 1..2N.
-        require(sorted(seqs) == list(range(1, 2 * len(spans) + 1)),
+        require(problems, sorted(seqs) == list(range(1, 2 * len(spans) + 1)),
                 "span seq values are not a permutation of 1..2N "
                 "(lost or unclosed spans)")
         for span_id, record in spans.items():
@@ -172,7 +172,7 @@ def validate_trace(lines):
                 problems.append("span %r references missing parent %r"
                                 % (span_id, parent_id))
                 continue
-            require(parent["seq"][0] < record["seq"][0]
+            require(problems, parent["seq"][0] < record["seq"][0]
                     and record["seq"][1] < parent["seq"][1],
                     "span %r is not enclosed by its parent %r"
                     % (span_id, parent_id))

@@ -10,26 +10,25 @@ every 200 response is **byte-identical** to its reference under
 canonical JSON encoding.  Shedding (429) is retried by the client
 honouring ``Retry-After``; a wrong answer is terminal.
 
-The resulting schema-1 document records p50/p99 latency, warm-cache
-hit rate, and shed/retried/degraded counts; CI uploads it as the
-``BENCH_serve`` artifact and ``results/BENCH_serve.json`` pins the
-committed run.
+The resulting ``serve-load`` record (:mod:`repro.records` header)
+holds p50/p99 latency, warm-cache hit rate, shed/retried/degraded
+counts and the server's own metrics; ``repro serve --load-test``
+publishes it only when :func:`validate_serve_bench` passes, and
+``results/BENCH_serve.json`` pins the committed run.
 """
 
 import asyncio
 import json
 import os
-import platform
 import tempfile
 import time
 import urllib.parse
 
-from repro.atomicio import atomic_write_json
-from repro.benchmarks.perf import git_revision
 from repro.evaluation.cache import open_store
 from repro.evaluation.parallel import EvaluationEngine
 from repro.serve.ops import canonical_json, compute_result, parse_request
 from repro.serve.service import ServiceConfig, ServiceThread
+from repro.records import check_header, header, require
 from repro.testing import faults
 
 __all__ = [
@@ -37,10 +36,14 @@ __all__ = [
     "mixed_templates",
     "run_load_test",
     "validate_serve_bench",
-    "write_serve_bench",
 ]
 
-SERVE_BENCH_SCHEMA = 1
+SERVE_BENCH_SCHEMA = 2
+
+SERVE_BENCH_KIND = "serve-load"
+
+#: the circuit breaker's states (``repro.serve.service.CircuitBreaker``)
+BREAKER_STATES = ("closed", "open", "half-open")
 
 DEFAULT_BENCHMARKS = ("conc30", "divide10")
 DEFAULT_CONFIGS = ("seq", "vliw3")
@@ -188,7 +191,7 @@ def _percentile(values, fraction):
 
 
 # --------------------------------------------------------------------------
-# Document assembly, validation, publication.
+# Document assembly and validation.
 
 def _assemble(records, references, templates, server_metrics, extras):
     ok_records = [r for r in records if r["status"] == 200]
@@ -229,10 +232,8 @@ def _assemble(records, references, templates, server_metrics, extras):
         if lookups:
             warm_hit_rate = cache.get("hits", 0) / lookups
         server_counters = server_metrics.get("counters", {})
-    document = {
-        "schema": SERVE_BENCH_SCHEMA,
-        "git_revision": git_revision(),
-        "python": platform.python_version(),
+    document = header(SERVE_BENCH_KIND, SERVE_BENCH_SCHEMA)
+    document.update({
         "requests": len(records),
         "unique_requests": len(templates),
         "faults": os.environ.get(faults.ENV_SPEC),
@@ -260,7 +261,7 @@ def _assemble(records, references, templates, server_metrics, extras):
                           else round(warm_hit_rate, 4)),
         "wrong_answers": len(wrong),
         "wrong_detail": wrong[:20],
-    }
+    })
     document.update(extras)
     return document
 
@@ -268,71 +269,68 @@ def _assemble(records, references, templates, server_metrics, extras):
 def validate_serve_bench(document):
     """Schema problems of a BENCH_serve.json document (empty = valid)."""
     problems = []
-
-    def require(condition, message):
-        if not condition:
-            problems.append(message)
-
-    require(isinstance(document, dict), "document is not an object")
-    if not isinstance(document, dict):
+    if not check_header(document, SERVE_BENCH_KIND, SERVE_BENCH_SCHEMA,
+                        problems):
         return problems
-    require(document.get("schema") == SERVE_BENCH_SCHEMA,
-            "schema != %d" % SERVE_BENCH_SCHEMA)
-    for field in ("git_revision", "python"):
-        require(isinstance(document.get(field), str),
-                "%s missing or not a string" % field)
     for field in ("requests", "unique_requests", "concurrency",
                   "wrong_answers"):
         value = document.get(field)
-        require(isinstance(value, int) and not isinstance(value, bool)
-                and value >= 0,
+        require(problems, isinstance(value, int)
+                and not isinstance(value, bool) and value >= 0,
                 "%s missing or not a non-negative int" % field)
     latency = document.get("latency_ms")
-    require(isinstance(latency, dict), "latency_ms missing")
-    if isinstance(latency, dict):
+    if require(problems, isinstance(latency, dict), "latency_ms missing"):
         for field in ("p50", "p99", "mean", "max"):
             value = latency.get(field)
-            require(isinstance(value, (int, float))
+            require(problems, isinstance(value, (int, float))
                     and not isinstance(value, bool) and value >= 0,
                     "latency_ms.%s missing or negative" % field)
         if all(isinstance(latency.get(k), (int, float))
                for k in ("p50", "p99")):
-            require(latency["p50"] <= latency["p99"],
+            require(problems, latency["p50"] <= latency["p99"],
                     "latency p50 exceeds p99")
     outcomes = document.get("outcomes")
-    require(isinstance(outcomes, dict), "outcomes missing")
-    if isinstance(outcomes, dict):
+    if require(problems, isinstance(outcomes, dict), "outcomes missing"):
         for field in ("ok", "shed", "failed", "deadline"):
             value = outcomes.get(field)
-            require(isinstance(value, int)
+            require(problems, isinstance(value, int)
                     and not isinstance(value, bool) and value >= 0,
                     "outcomes.%s missing or not an int" % field)
-        require(outcomes.get("ok", 0) >= 1, "no successful requests")
+        require(problems, outcomes.get("ok", 0) >= 1,
+                "no successful requests")
     responses = document.get("responses")
-    require(isinstance(responses, dict), "responses missing")
-    if isinstance(responses, dict):
+    if require(problems, isinstance(responses, dict),
+               "responses missing"):
         for field in ("degraded", "cached", "retried", "sheds_seen"):
             value = responses.get(field)
-            require(isinstance(value, int)
+            require(problems, isinstance(value, int)
                     and not isinstance(value, bool) and value >= 0,
                     "responses.%s missing or not an int" % field)
+    server = document.get("server")
+    if require(problems, isinstance(server, dict), "server missing"):
+        breaker = server.get("breaker")
+        require(problems, isinstance(breaker, dict)
+                and breaker.get("state") in BREAKER_STATES,
+                "server.breaker.state is not one of %s"
+                % ", ".join(BREAKER_STATES))
+        require(problems, "breakers" not in server,
+                "server.breakers is the retired per-backend map")
+        cache = server.get("cache")
+        require(problems, isinstance(cache, dict)
+                and "shards" not in cache,
+                "server.cache is not an object without 'shards'")
     rate = document.get("warm_hit_rate")
-    require(rate is None or (isinstance(rate, (int, float))
-                             and 0.0 <= rate <= 1.0),
+    require(problems, rate is None or (isinstance(rate, (int, float))
+                                       and 0.0 <= rate <= 1.0),
             "warm_hit_rate out of [0, 1]")
-    require(document.get("wrong_answers") == 0,
+    require(problems, document.get("wrong_answers") == 0,
             "wrong_answers != 0 — service returned a payload that "
             "differs from the single-shot reference")
     seconds = document.get("seconds")
-    require(isinstance(seconds, (int, float))
+    require(problems, isinstance(seconds, (int, float))
             and not isinstance(seconds, bool) and seconds >= 0,
             "seconds missing or negative")
     return problems
-
-
-def write_serve_bench(document, path):
-    """Publish *document* atomically (never a torn record)."""
-    return atomic_write_json(path, document, indent=2, sort_keys=True)
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +339,7 @@ def write_serve_bench(document, path):
 def run_load_test(requests=2000, concurrency=64, jobs=2, url=None,
                   benchmarks=DEFAULT_BENCHMARKS,
                   configs=DEFAULT_CONFIGS, queue_limit=None,
-                  breaker_threshold=2, progress=None):
+                  progress=None):
     """Run the full load test; returns the bench document.
 
     Self-hosted by default: a :class:`ServiceThread` with *jobs* pool
@@ -386,8 +384,7 @@ def run_load_test(requests=2000, concurrency=64, jobs=2, url=None,
         try:
             config = ServiceConfig(
                 jobs=jobs, cache_root=cache_root,
-                queue_limit=queue_limit or max(16, concurrency // 2),
-                breaker_threshold=breaker_threshold)
+                queue_limit=queue_limit or max(16, concurrency // 2))
             note("starting service: %d worker(s), queue limit %d"
                  % (jobs, config.queue_limit))
             with ServiceThread(config) as served:

@@ -148,14 +148,55 @@ def test_bench_backend_subset(tmp_path):
 
 
 def test_published_bench_document_validates():
+    """Every committed record passes its own validator and carries the
+    one provenance header."""
     import json
     import os
+    from repro.analysis.driver import validate_analyze_bench
     from repro.benchmarks.perf import validate_bench
-    path = os.path.join(os.path.dirname(__file__), os.pardir,
-                        "results", "BENCH_emulator.json")
-    document = json.load(open(path))
-    assert validate_bench(document) == []
-    assert document["summary"]["all_identical"] is True
+    from repro.experiments.corpus_sweep import validate_corpus_bench
+    from repro.experiments.orparallel_bench import (
+        validate_orparallel_bench)
+    from repro.serve.loadtest import validate_serve_bench
+    records = {
+        "BENCH_emulator.json": validate_bench,
+        "BENCH_analyze.json": validate_analyze_bench,
+        "BENCH_corpus.json": validate_corpus_bench,
+        "BENCH_orparallel.json": validate_orparallel_bench,
+        "BENCH_serve.json": validate_serve_bench,
+    }
+    results = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "results")
+    committed = sorted(name for name in os.listdir(results)
+                       if name.startswith("BENCH_"))
+    assert committed == sorted(records)
+    kinds = set()
+    for name, validate in records.items():
+        with open(os.path.join(results, name)) as handle:
+            document = json.load(handle)
+        assert validate(document) == [], name
+        kinds.add(document["kind"])
+    assert len(kinds) == len(records)
+    with open(os.path.join(results, "BENCH_emulator.json")) as handle:
+        assert json.load(handle)["summary"]["all_identical"] is True
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_bench_rejects_nonpositive_repeat(tmp_path, monkeypatch, repeat):
+    """A repeat count below 1 is a usage error found before any
+    emulator is built."""
+    from repro.benchmarks import perf
+
+    def no_emulation(*args, **kwargs):
+        raise AssertionError("bench ran with --repeat %s" % repeat)
+
+    monkeypatch.setattr(perf, "bench_document", no_emulation)
+    output = tmp_path / "BENCH_emulator.json"
+    status, text, errors = run_cli(
+        ["bench", "--quick", "--repeat", repeat, "--output", str(output)])
+    assert status == 2
+    assert "--repeat" in errors
+    assert not output.exists()
 
 
 def test_bench_rejects_names_with_quick(tmp_path):
@@ -261,6 +302,47 @@ def test_report_is_offered_only_where_it_is_written(tmp_path):
     assert status == 2
     assert "--report" in errors
     assert not report.exists()
+
+
+def test_failed_full_evaluate_exits_1_with_summary(tmp_path, monkeypatch):
+    """Every task failing still ends the full sweep in the supervisor
+    summary, the --report file and exit 1, not a traceback."""
+    import json
+    from repro.testing import faults
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    report_path = tmp_path / "report.json"
+    with faults.injected("parallel.task=error:1000"):
+        status, text, errors = run_cli(
+            ["evaluate", "--jobs", "1", "--max-attempts", "1",
+             "--report", str(report_path)])
+    assert status == 1
+    assert "supervisor:" in text and "failed" in text
+    assert "evaluation task(s) failed" in errors
+    assert "Traceback" not in errors
+    report = json.loads(report_path.read_text())
+    assert report["tasks"]
+    assert all(task["status"] == "failed" for task in report["tasks"])
+
+
+def test_serve_load_test_writes_no_invalid_record(tmp_path, monkeypatch):
+    """A load-test record that fails validation is not written and the
+    command exits 1."""
+    import json
+    import os
+    from repro.serve import loadtest
+    committed = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "results", "BENCH_serve.json")
+    with open(committed) as handle:
+        document = json.load(handle)
+    document["wrong_answers"] = 1
+    monkeypatch.setattr(loadtest, "run_load_test",
+                        lambda **kwargs: document)
+    output = tmp_path / "BENCH_serve.json"
+    status, text, errors = run_cli(
+        ["serve", "--load-test", "10", "--output", str(output)])
+    assert status == 1
+    assert "wrong_answers" in errors
+    assert not output.exists()
 
 
 def test_evaluate_survives_an_injected_transient_fault(

@@ -10,7 +10,7 @@ from repro.evaluation.parallel import EvaluationEngine
 from repro.experiments.corpus_sweep import (
     CORPUS_BENCH_SCHEMA, CORPUS_CONFIG_KEYS, SATURATION_WIDTHS,
     build_corpus_specs, run_corpus_sweep, sweep_target,
-    validate_corpus_bench, write_corpus_bench)
+    validate_corpus_bench)
 
 
 def test_build_corpus_specs():
@@ -120,8 +120,9 @@ def test_validator_catches_tampering(small_document):
 
 
 def test_write_corpus_bench_round_trips(small_document, tmp_path):
-    path = write_corpus_bench(small_document,
-                              str(tmp_path / "sub" / "BENCH.json"))
+    from repro.records import publish
+    path = str(tmp_path / "sub" / "BENCH.json")
+    assert publish(small_document, path, validate_corpus_bench) == []
     with open(path) as handle:
         loaded = json.load(handle)
     assert validate_corpus_bench(loaded) == []

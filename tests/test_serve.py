@@ -395,6 +395,24 @@ def test_published_serve_bench_document_validates():
     assert document["warm_hit_rate"] >= 0.9
 
 
+def test_validate_serve_bench_reads_the_server_section():
+    from repro.serve.loadtest import validate_serve_bench
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "results", "BENCH_serve.json")
+    document = json.load(open(path))
+    assert document["server"]["breaker"]["state"] == "closed"
+    for tamper in (
+            lambda server: server["breaker"].update(state="ajar"),
+            lambda server: server.pop("breaker"),
+            lambda server: server.update(
+                breakers={"codegen": server["breaker"]}),
+            lambda server: server["cache"].update(shards=8)):
+        broken = json.loads(json.dumps(document))
+        tamper(broken["server"])
+        problems = validate_serve_bench(broken)
+        assert len(problems) == 1 and "server" in problems[0], problems
+
+
 def test_validate_serve_bench_rejects_wrong_answers():
     from repro.serve.loadtest import validate_serve_bench
     path = os.path.join(os.path.dirname(__file__), os.pardir,

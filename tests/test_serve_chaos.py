@@ -27,9 +27,10 @@ import pytest
 
 from repro.evaluation.cache import CacheStore
 from repro.evaluation.parallel import EvaluationEngine
+from repro.records import publish
 from repro.serve import ServiceConfig, ServiceThread
 from repro.serve.loadtest import (
-    run_load_test, validate_serve_bench, write_serve_bench)
+    run_load_test, validate_serve_bench)
 from repro.serve.ops import (
     canonical_json, compute_result, parse_request)
 from repro.testing import faults
@@ -73,7 +74,7 @@ def test_load_test_2000_requests_byte_identical(clean_faults,
     assert document["outcomes"]["unreachable"] == 0
     assert document["warm_hit_rate"] >= 0.9
     path = str(tmp_path / "BENCH_serve.json")
-    write_serve_bench(document, path)
+    assert publish(document, path, validate_serve_bench) == []
     assert validate_serve_bench(json.load(open(path))) == []
 
 
