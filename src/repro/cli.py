@@ -199,7 +199,7 @@ def _analyze_suite(args, out, err):
         published = _publish(
             "analyze", analyze_bench_document(entries, elapsed),
             args.perf, validate_analyze_bench, notice, err)
-    if args.output:
+    if args.output and not problems:
         published &= _publish("analyze", document, args.output,
                               validate_analysis, notice, err)
     if args.format == "json":
