@@ -49,4 +49,4 @@ def test_publish_writes_only_a_clean_record(tmp_path):
     assert text == json.dumps(json.loads(text), indent=2,
                               sort_keys=True) + "\n"
     assert json.loads(text)["values"] == [3, 1]
-    assert [name for name in os.listdir(path.parent)] == [path.name]
+    assert os.listdir(path.parent) == [path.name]
