@@ -689,7 +689,7 @@ def _serve_config(args):
     return ServiceConfig(
         host=args.host, port=args.port, jobs=_resolve_jobs(args),
         cache_root=args.cache_dir,
-        queue_limit=args.queue_limit, batch_max=args.batch_max,
+        queue_limit=args.queue_limit,
         default_deadline=args.deadline,
         breaker_threshold=args.breaker_threshold,
         cell_timeout=policy.deadline, max_attempts=policy.max_attempts)
@@ -1068,11 +1068,9 @@ def build_parser():
     p.add_argument("--cache-dir", metavar="PATH",
                    help="cache root (default: REPRO_CACHE_DIR)")
     p.add_argument("--queue-limit", type=int, default=64, metavar="N",
-                   help="admission queue bound; beyond it requests "
-                        "are shed with 429 (default 64)")
-    p.add_argument("--batch-max", type=int, default=16, metavar="N",
-                   help="max requests fused into one engine sweep "
-                        "(default 16)")
+                   help="requests that may wait behind the one "
+                        "executing; beyond it requests are shed with "
+                        "429 (default 64)")
     p.add_argument("--deadline", type=float, default=120.0,
                    metavar="SECONDS",
                    help="default per-request deadline (default 120)")

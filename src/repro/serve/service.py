@@ -1,12 +1,14 @@
-"""The evaluation service: admission, batching, failure management.
+"""The evaluation service: admission, execution, failure management.
 
-One asyncio loop owns the sockets; one worker thread owns the
-evaluation engine (whose process pool does the heavy lifting).  The
-request path is engineered for failure first:
+One asyncio loop owns the sockets; one executor thread owns the
+evaluation engine (whose process pool does the heavy lifting).  That
+executor's work queue is the only queue: each admitted request is one
+executor job, run in arrival order.  The request path is engineered
+for failure first:
 
-* **bounded admission** — requests wait in a fixed-size queue; when it
-  is full the service sheds load explicitly with 429 + ``Retry-After``
-  instead of buffering without bound.
+* **bounded admission** — at most ``queue_limit`` requests wait behind
+  the one executing; beyond that the service sheds load explicitly
+  with 429 + ``Retry-After`` instead of buffering without bound.
 * **deadline propagation** — each request carries a wall-clock budget
   (default :attr:`ServiceConfig.default_deadline`); the remaining
   budget is clamped onto the supervisor's per-cell watchdog
@@ -15,13 +17,16 @@ request path is engineered for failure first:
   budget is a 504, never a silent stall.
 * **server-side retry** — transient failures (injected or real) retry
   up to :attr:`ServiceConfig.max_attempts` times with the supervisor's
-  crc32-seeded deterministic backoff, bounded by the deadline.
+  crc32-seeded deterministic backoff, bounded by the deadline.  A
+  failed evaluation sweep is answered at once: the supervisor has
+  already retried each of its failed tasks.
 * **circuit breaker** — repeated pool deaths trip the breaker; while
   it is open, requests are served by an in-process ``jobs=1`` engine
   (results are byte-identical, responses are flagged ``degraded``).
   After a cooldown one probe request tests the pool again.
-* **graceful drain** — SIGTERM/SIGINT stop the listener, let queued
-  and in-flight requests finish, flush the engine, and exit 0.
+* **graceful drain** — SIGTERM/SIGINT stop the listener, let admitted
+  requests finish (bounded by a grace period), cancel whatever has not
+  started by then, close the engines, and exit 0.
 
 Whole-request results are memoised in the shared content-addressed
 store under the ``serve`` kind, which is what makes a repeated-query
@@ -40,7 +45,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.evaluation.cache import open_store
-from repro.evaluation.parallel import EvaluationEngine, memoised
+from repro.evaluation.parallel import (
+    EvaluationEngine, EvaluationError, memoised)
 from repro.evaluation.supervisor import SupervisorPolicy
 from repro.observability.metrics import MetricsRegistry
 from repro.serve import http
@@ -51,16 +57,14 @@ from repro.testing import faults
 __all__ = ["CircuitBreaker", "EvaluationService", "ServiceConfig",
            "ServiceThread"]
 
-_STOP = object()
-
 
 class ServiceConfig:
     """Tunable service parameters.
 
-    ``repro serve`` sets ten of them from flags: host, port, jobs,
-    cache_root (``--cache-dir``), queue_limit, batch_max,
-    default_deadline (``--deadline``), breaker_threshold, cell_timeout
-    and max_attempts.  The other nine (max_deadline, retry_after,
+    ``repro serve`` sets nine of them from flags: host, port, jobs,
+    cache_root (``--cache-dir``), queue_limit, default_deadline
+    (``--deadline``), breaker_threshold, cell_timeout and
+    max_attempts.  The other nine (max_deadline, retry_after,
     breaker_cooldown, pool_restarts, idle_timeout, drain_grace,
     backoff_base, backoff_cap, seed) keep their defaults there; only
     code that builds a ServiceConfig itself, such as the tests, sets
@@ -68,7 +72,7 @@ class ServiceConfig:
     """
 
     def __init__(self, host="127.0.0.1", port=0, jobs=1, cache_root=None,
-                 queue_limit=64, batch_max=16,
+                 queue_limit=64,
                  default_deadline=120.0, max_deadline=600.0,
                  max_attempts=3, retry_after=1.0,
                  breaker_threshold=2, breaker_cooldown=30.0,
@@ -80,7 +84,6 @@ class ServiceConfig:
         self.jobs = max(1, jobs)
         self.cache_root = cache_root
         self.queue_limit = max(1, queue_limit)
-        self.batch_max = max(1, batch_max)
         self.default_deadline = default_deadline
         self.max_deadline = max_deadline
         self.max_attempts = max(1, max_attempts)
@@ -109,8 +112,8 @@ class CircuitBreaker:
     supervisor); at *threshold* the breaker opens and :meth:`allow`
     answers False until *cooldown* seconds pass, after which exactly
     one probe request is let through — its success closes the breaker,
-    its failure re-opens it.  Driven from the single batch-executor
-    thread, so no locking is needed.
+    its failure re-opens it.  Driven from the single executor thread,
+    so no locking is needed.
     """
 
     def __init__(self, threshold=2, cooldown=30.0, clock=time.monotonic):
@@ -156,15 +159,14 @@ class CircuitBreaker:
 
 
 class _Pending:
-    """One admitted request travelling queue → batch → future."""
+    """One admitted request, as the executor thread runs it."""
 
-    __slots__ = ("spec", "label", "deadline", "future")
+    __slots__ = ("spec", "label", "deadline")
 
-    def __init__(self, spec, label, deadline, future):
+    def __init__(self, spec, label, deadline):
         self.spec = spec
         self.label = label
         self.deadline = deadline
-        self.future = future
 
 
 class EvaluationService:
@@ -184,12 +186,13 @@ class EvaluationService:
         self._fallback = None
         self._loop = None
         self._server = None
-        self._queue = None
-        self._batcher = None
         self._done = None
         self._draining = False
         self._drain_started = False
+        # Admitted, not yet answered (loop thread only); the one
+        # request the executor is running (executor thread only).
         self._inflight = 0
+        self._executing = 0
         self._started = time.monotonic()
         self._writers = set()
         self._executor = ThreadPoolExecutor(
@@ -198,14 +201,12 @@ class EvaluationService:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self):
-        """Bind the listener and start the batcher; returns the port."""
+        """Bind the listener; returns the port."""
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
         self._done = asyncio.Event()
         self._server = await asyncio.start_server(
             self._client, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._batcher = self._loop.create_task(self._batch_loop())
         return self.port
 
     async def wait_closed(self):
@@ -234,21 +235,18 @@ class EvaluationService:
         grace = self.config.drain_grace
         deadline = None if grace is None \
             else time.monotonic() + grace
-        while self._queue.qsize() or self._inflight:
+        while self._inflight:
             if deadline is not None and time.monotonic() >= deadline:
                 break
             await asyncio.sleep(0.02)
-        await self._queue.put(_STOP)
-        try:
-            await self._batcher
-        except asyncio.CancelledError:
-            pass
         for writer in list(self._writers):
             try:
                 writer.close()
             except Exception:
                 pass
-        self._executor.shutdown(wait=True)
+        # Nothing starts after the grace period; a request already
+        # executing runs to completion before the engines close.
+        self._executor.shutdown(wait=True, cancel_futures=True)
         self.engine.close()
         if self._fallback is not None:
             self._fallback.close()
@@ -326,111 +324,42 @@ class EvaluationService:
             self.metrics.add("serve.rejected.invalid")
             message = getattr(error, "message", None) or str(error)
             return 400, {"ok": False, "error": message}, None
-        budget = min(deadline or self.config.default_deadline,
-                     self.config.max_deadline)
-        pending = _Pending(spec, request_label(spec),
-                           time.monotonic() + budget,
-                           self._loop.create_future())
-        try:
-            self._queue.put_nowait(pending)
-        except asyncio.QueueFull:
+        if self._waiting() >= self.config.queue_limit:
             self.metrics.add("serve.shed")
             return 429, {"ok": False, "error": "admission queue full",
                          "retry_after": self.config.retry_after}, \
                 {"Retry-After": "%g" % self.config.retry_after}
+        budget = min(deadline or self.config.default_deadline,
+                     self.config.max_deadline)
+        pending = _Pending(spec, request_label(spec),
+                           time.monotonic() + budget)
         self.metrics.add("serve.requests")
-        outcome = await pending.future
+        self._inflight += 1
+        try:
+            outcome = await self._loop.run_in_executor(
+                self._executor, self._run, pending)
+        finally:
+            self._inflight -= 1
         headers = outcome.get("headers")
         return outcome["status"], outcome["payload"], headers
 
-    # -- batching ----------------------------------------------------------
+    def _waiting(self):
+        """Admitted requests queued behind the one executing."""
+        return self._inflight - self._executing
 
-    async def _batch_loop(self):
-        while True:
-            item = await self._queue.get()
-            if item is _STOP:
-                return
-            batch = [item]
-            while len(batch) < self.config.batch_max:
-                try:
-                    extra = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is _STOP:
-                    # re-park the sentinel; it is only enqueued once
-                    # the queue is otherwise empty, so this is safety
-                    self._queue.put_nowait(extra)
-                    break
-                batch.append(extra)
-            self.metrics.add("serve.batches")
-            self._inflight += len(batch)
-            try:
-                await self._loop.run_in_executor(
-                    self._executor, self._run_batch, batch)
-            except Exception as error:
-                detail = "batch execution failed: %s" % error
-                for pending in batch:
-                    self._resolve(pending, {
-                        "status": 500,
-                        "payload": {"ok": False, "error": detail}})
-            finally:
-                self._inflight -= len(batch)
+    # -- execution (executor thread from here down) ------------------------
 
-    def _resolve(self, pending, outcome):
-        def deliver():
-            if not pending.future.done():
-                pending.future.set_result(outcome)
-        self._loop.call_soon_threadsafe(deliver)
-
-    # -- execution (batch-executor thread from here down) ------------------
-
-    def _run_batch(self, batch):
-        self._prewarm(batch)
-        for pending in batch:
-            try:
-                outcome = self._run_one(pending)
-            except Exception as error:
-                self.metrics.add("serve.failed")
-                outcome = {"status": 500,
-                           "payload": {"ok": False,
-                                       "error": "internal error: %s"
-                                       % error}}
-            self._resolve(pending, outcome)
-
-    def _prewarm(self, batch):
-        """Fan every distinct evaluate spec of *batch* into one DAG.
-
-        This is where batching pays: profile and region nodes shared
-        between requests are computed once by one supervisor sweep.
-        Failures are ignored here — the per-request path retries and
-        reports them individually.
-        """
-        requests = []
-        seen = set()
-        remaining = []
-        from repro.experiments.data import master_configs
-        known = master_configs()
-        for pending in batch:
-            spec = pending.spec
-            if spec["op"] != "evaluate":
-                continue
-            key = (spec["benchmark"], tuple(spec["configs"]),
-                   spec["tail_dup_budget"])
-            if key in seen:
-                continue
-            seen.add(key)
-            remaining.append(pending.deadline - time.monotonic())
-            requests.append({
-                "name": spec["benchmark"],
-                "configs": {k: known[k] for k in spec["configs"]},
-                "tail_dup_budget": spec["tail_dup_budget"]})
-        if len(requests) < 2:
-            return
+    def _run(self, pending):
+        self._executing = 1
         try:
-            with self.engine.policy.clamped(max(0.1, min(remaining))):
-                self.engine.evaluate_many(requests)
-        except Exception:
-            pass
+            return self._run_one(pending)
+        except Exception as error:
+            self.metrics.add("serve.failed")
+            return {"status": 500,
+                    "payload": {"ok": False,
+                                "error": "internal error: %s" % error}}
+        finally:
+            self._executing = 0
 
     def _engine_for(self, degraded):
         if not degraded:
@@ -446,10 +375,7 @@ class EvaluationService:
             attempts += 1
             now = time.monotonic()
             if now >= pending.deadline:
-                self.metrics.add("serve.deadline_exceeded")
-                return {"status": 504, "payload": {
-                    "ok": False, "error": "deadline exceeded",
-                    "meta": {"attempts": attempts - 1}}}
+                return self._deadline_exceeded(attempts - 1)
             degraded = not self.breaker.allow()
             try:
                 if faults.armed("serve.request") \
@@ -467,7 +393,12 @@ class EvaluationService:
                 return {"status": 400, "payload": {
                     "ok": False, "error": str(error)}}
             except Exception as error:
-                if attempts >= self.config.max_attempts:
+                # A failed sweep is final: the supervisor has already
+                # run each failed task max_attempts times.
+                final = isinstance(error, EvaluationError)
+                if final and time.monotonic() >= pending.deadline:
+                    return self._deadline_exceeded(attempts)
+                if final or attempts >= self.config.max_attempts:
                     self.metrics.add("serve.failed")
                     return {"status": 500, "payload": {
                         "ok": False, "error": str(error),
@@ -497,6 +428,12 @@ class EvaluationService:
             }
             return {"status": 200, "payload": {
                 "ok": True, "result": payload, "meta": meta}}
+
+    def _deadline_exceeded(self, attempts):
+        self.metrics.add("serve.deadline_exceeded")
+        return {"status": 504, "payload": {
+            "ok": False, "error": "deadline exceeded",
+            "meta": {"attempts": attempts}}}
 
     def _compute(self, pending, degraded):
         """Run one spec; returns (payload, cached, pool_pain, swept)."""
@@ -531,7 +468,7 @@ class EvaluationService:
         return {
             "ready": not self._draining,
             "draining": self._draining,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": self._waiting(),
             "queue_limit": self.config.queue_limit,
             "inflight": self._inflight,
             "jobs": self.config.jobs,
@@ -547,7 +484,7 @@ class EvaluationService:
             "cache": dict(self.store.counters(),
                           kinds=self.store.kind_stats()),
             "breaker": self.breaker.snapshot(),
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": self._waiting(),
             "inflight": self._inflight,
             "supervisor": self.engine.report.counts(),
             "uptime_s": round(time.monotonic() - self._started, 3),

@@ -50,7 +50,7 @@ def server():
     patcher.delenv(faults.ENV_STATE, raising=False)
     config = ServiceConfig(jobs=1, seed=7,
                            cache_root=os.path.join(tmp, "cas"),
-                           queue_limit=16, batch_max=4)
+                           queue_limit=16)
     try:
         with ServiceThread(config) as thread:
             yield thread
@@ -218,6 +218,27 @@ def test_unknown_paths_and_methods(server):
     assert request(server.port, "POST", "/healthz", {})[0] == 405
 
 
+def test_failed_sweep_is_answered_without_another_sweep(tmp_path,
+                                                        monkeypatch):
+    # The supervisor has already run each failed cell max_attempts (3)
+    # times, so every cell evaluation fires the armed fault.  One sweep
+    # leaves 3 fuse files; retrying the sweep in the service left 9.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    fuses = tmp_path / "fuses"
+    config = ServiceConfig(jobs=1, cache_root=str(tmp_path / "cas"))
+    with faults.injected("pipeline.cycles=error:1000", str(fuses)):
+        with ServiceThread(config) as thread:
+            status, payload, _ = request(
+                thread.port, "POST", "/v1/evaluate",
+                {"benchmark": BENCH, "configs": ["seq"]})
+            metrics = request(thread.port, "GET", "/metrics")[1]
+    assert status == 500, payload
+    assert "pipeline.cycles" in payload["error"]
+    assert payload["meta"]["attempts"] == 1
+    assert len(os.listdir(fuses)) == 3
+    assert "serve.retries" not in metrics["counters"]
+
+
 def test_expired_deadline_is_504(server):
     body = {"benchmark": BENCH, "configs": ["seq"],
             "deadline": 1e-9}
@@ -239,8 +260,7 @@ def test_metrics_endpoint_exposes_counters(server):
 # Load shedding: a full admission queue answers 429 + Retry-After.
 
 def test_queue_full_sheds_with_retry_after(tmp_path):
-    config = ServiceConfig(jobs=1, queue_limit=1,
-                           batch_max=1, retry_after=0.5,
+    config = ServiceConfig(jobs=1, queue_limit=1, retry_after=0.5,
                            cache_root=str(tmp_path / "cas"))
     statuses = []
     lock = threading.Lock()
@@ -255,7 +275,8 @@ def test_queue_full_sheds_with_retry_after(tmp_path):
                     statuses.append(outcome)
 
             # First request occupies the executor (hang fault sleeps
-            # inside it); the flood then overflows the queue of 1.
+            # inside it); one of the flood waits behind it, the other
+            # five overflow the queue of 1.
             leader = threading.Thread(target=post)
             leader.start()
             time.sleep(0.4)
@@ -266,8 +287,8 @@ def test_queue_full_sheds_with_retry_after(tmp_path):
                 worker.join(timeout=120)
     shed = [outcome for outcome in statuses if outcome[0] == 429]
     served = [outcome for outcome in statuses if outcome[0] == 200]
-    assert shed, "expected at least one 429 under overload"
-    assert served, "expected surviving requests to be served"
+    assert len(shed) == 5, statuses
+    assert len(served) == 2, statuses
     for _, payload, headers in shed:
         assert payload["error"] == "admission queue full"
         assert headers.get("Retry-After") == "0.5"
@@ -286,6 +307,74 @@ def test_drain_stops_listener_and_joins(tmp_path):
         assert not thread._thread.is_alive()
     with pytest.raises(OSError):
         request(port, "GET", "/healthz", timeout=5)
+
+
+def _drain_behind_a_hanging_request(tmp_path, drain_grace):
+    """Stop a service while one request hangs (1.5 s) in the executor
+    and one waits behind it; returns the two clients' outcomes and
+    how many requests started executing (one fuse file each)."""
+    fuses = tmp_path / "fuses"
+    config = ServiceConfig(jobs=1, drain_grace=drain_grace,
+                           cache_root=str(tmp_path / "cas"))
+    outcomes = []
+    lock = threading.Lock()
+    with faults.injected("serve.request=hang:2:1.5", str(fuses)):
+        thread = ServiceThread(config)
+        with thread:
+            body = {"benchmark": BENCH, "configs": ["seq"]}
+
+            def post():
+                try:
+                    outcome = request(thread.port, "POST",
+                                      "/v1/compile", body)[0]
+                except (OSError, http.client.HTTPException) as error:
+                    outcome = type(error).__name__
+                with lock:
+                    outcomes.append(outcome)
+
+            clients = [threading.Thread(target=post) for _ in range(2)]
+            clients[0].start()
+            time.sleep(0.4)                 # the first one hangs inside
+            clients[1].start()
+            for _ in range(100):
+                ready = request(thread.port, "GET", "/readyz")[1]
+                if ready["inflight"] == 2:
+                    break
+                time.sleep(0.01)
+            assert ready["inflight"] == 2 and ready["queue_depth"] == 1
+            thread.stop(timeout=120)
+            assert not thread._thread.is_alive()
+            for client in clients:
+                client.join(timeout=120)
+                assert not client.is_alive()
+    return outcomes, len(os.listdir(fuses))
+
+
+def test_drain_answers_the_executing_and_the_waiting_request(tmp_path):
+    outcomes, started = _drain_behind_a_hanging_request(tmp_path, 60.0)
+    assert outcomes == [200, 200]
+    assert started == 2
+
+
+def test_drain_starts_nothing_after_the_grace_period(tmp_path):
+    # The waiting request is cancelled when the grace runs out, while
+    # the first still hangs; the connections close unanswered.
+    outcomes, started = _drain_behind_a_hanging_request(tmp_path, 0.2)
+    assert 200 not in outcomes, outcomes
+    assert started == 1
+
+
+# --------------------------------------------------------------------------
+# A cold analyze request shares the service's store: on an empty cache
+# it once blocked on its own cache lock and never answered.
+
+def test_cold_analyze_on_an_empty_cache_answers(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    with ServiceThread(ServiceConfig(jobs=1)) as thread:
+        status, payload, _ = request(thread.port, "POST", "/v1/analyze",
+                                     {"benchmark": "mu"}, timeout=120)
+    assert status == 200, payload
+    assert payload["meta"]["cached"] is False
 
 
 # --------------------------------------------------------------------------
