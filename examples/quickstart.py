@@ -4,6 +4,7 @@ Run:  python examples/quickstart.py
 """
 
 import repro
+from repro.experiments.data import master_configs
 
 SOURCE = """
 app([], L, L).
@@ -28,13 +29,12 @@ def main():
     assert result.succeeded
 
     # 3. How much instruction-level parallelism can the back-end extract?
-    for config in (repro.bam_like(), repro.vliw(1), repro.vliw(3),
-                   repro.ideal()):
-        regioning = "bb" if config.name == "bam" else "trace"
+    configs = master_configs()
+    for key in ("bam", "vliw1", "vliw3", "tr_ideal"):
+        config, regioning = configs[key]
         speedup = repro.measure_speedup(program, config,
                                         regioning=regioning)
-        print("%-8s machine: %.2fx over sequential"
-              % (config.name, speedup))
+        print("%-8s machine: %.2fx over sequential" % (key, speedup))
 
     # The shared-memory Amdahl bound (paper section 4.2):
     from repro.analysis.amdahl import memory_bound_speedup

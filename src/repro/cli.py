@@ -19,6 +19,11 @@
     python -m repro lint program.pl           # ICI well-formedness lint
     python -m repro verify [--bench qsort]    # independent checker sweep
     python -m repro corpus --quick --jobs 2   # generated-corpus sweep
+    python -m repro serve --port 8080         # HTTP/JSON evaluation service
+    python -m repro serve --load-test 200     # ... or drive one with load
+    python -m repro query qsort --or-jobs 2   # or-parallel goal enumeration
+    python -m repro query --file program.pl --compare
+    python -m repro cache stats               # artefact cache occupancy
 
 ``evaluate`` and ``verify`` fan their benchmark x machine-configuration
 cells out across ``--jobs`` worker processes (default: all cores)
@@ -41,8 +46,10 @@ written and the command exits 1.
 
 Exit codes: 0 = success/clean, 1 = violations found (lint/verify), a
 failing program status, a sweep task that failed every attempt or an
-invalid record, 2 = usage error, 130 = interrupted (SIGINT).
-Diagnostics go to stderr.
+invalid record, 2 = usage error (argparse's, or a :class:`UsageError`
+named as ``repro <command>: <message>``: an unreadable FILE, an
+unknown benchmark or machine key, conflicting flags), 130 =
+interrupted (SIGINT).  Diagnostics go to stderr.
 """
 
 import argparse
@@ -54,24 +61,24 @@ from repro.benchmarks.suite import (
     compile_benchmark, compile_program, run_program_cached)
 from repro.intcode import optimize_program
 from repro.emulator import run_program
-from repro.compaction import (
-    sequential, bam_like, vliw, ideal, symbol3)
 from repro.intcode.ici import instruction_mix
 
-_MACHINES = {
-    "seq": sequential,
-    "bam": bam_like,
-    "vliw1": lambda: vliw(1), "vliw2": lambda: vliw(2),
-    "vliw3": lambda: vliw(3), "vliw4": lambda: vliw(4),
-    "vliw5": lambda: vliw(5),
-    "ideal": ideal,
-    "symbol3": symbol3,
-}
+
+class UsageError(Exception):
+    """A command-line mistake, found before any work starts:
+    :func:`main` names it as ``repro <command>: <message>`` and exits
+    2."""
 
 
 def _source(path):
-    with open(path) as handle:
-        return handle.read()
+    """The text of the Prolog FILE at *path*; an unreadable one is a
+    usage error."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        raise UsageError("cannot read %s: %s" % (
+            path, getattr(error, "strerror", None) or error)) from None
 
 
 def _options(args):
@@ -79,16 +86,55 @@ def _options(args):
                            lco=not args.no_lco)
 
 
-def _load(args):
-    program = compile_program(_source(args.file), (args.entry, 0),
-                              _options(args))
-    if args.optimize:
+def _compile(source, entry="main", options=None, optimize=False):
+    """The one way the CLI turns Prolog text into a program: the
+    memoised front end, then (with *optimize*) the block-local ICI
+    optimiser."""
+    program = compile_program(source, (entry, 0), options)
+    if optimize:
         program, _ = optimize_program(program)
     return program
 
 
-def _add_compile_flags(parser):
-    parser.add_argument("file", help="Prolog source file")
+def _load(args):
+    return _compile(_source(args.file), args.entry, _options(args),
+                    args.optimize)
+
+
+def _machines(keys=None):
+    """Machine key -> ``(MachineConfig, regioning)`` from the one
+    machine table, :func:`~repro.experiments.data.master_configs`: the
+    whole table, or just *keys*.  An unknown key is a usage error."""
+    from repro.experiments.data import master_configs
+    configs = master_configs()
+    if keys is None:
+        return configs
+    unknown = [key for key in keys if key not in configs]
+    if unknown:
+        raise UsageError("unknown machine key(s) %s; available: %s"
+                         % (", ".join(sorted(unknown)),
+                            ", ".join(sorted(configs))))
+    return {key: configs[key] for key in keys}
+
+
+def _check_benchmarks(names):
+    """A name in *names* that is no suite benchmark is a usage
+    error."""
+    from repro.benchmarks import PROGRAMS
+    unknown = [name for name in names if name not in PROGRAMS]
+    if unknown:
+        raise UsageError("unknown benchmark(s) %s; available: %s"
+                         % (", ".join(sorted(unknown)),
+                            ", ".join(sorted(PROGRAMS))))
+
+
+def _add_compile_flags(parser, optional=False):
+    """FILE and the flags that compile it; an *optional* FILE (analyze)
+    may be omitted."""
+    parser.add_argument(
+        "file", nargs="?" if optional else None,
+        help="Prolog source file"
+             + (" (omit for the suite sweep)" if optional else ""))
     parser.add_argument("--entry", default="main",
                         help="entry predicate (arity 0; default main)")
     parser.add_argument("--optimize", action="store_true",
@@ -110,25 +156,28 @@ def cmd_run(args, out, err):
 
 
 def cmd_listing(args, out, err):
-    program = _load(args)
+    source = _source(args.file)
     if args.level in ("bam", "both"):
-        module = compile_source(_source(args.file), (args.entry, 0),
+        module = compile_source(source, (args.entry, 0),
                                 options=_options(args))
         out.write(module.listing() + "\n")
     if args.level in ("ici", "both"):
+        program = _compile(source, args.entry, _options(args),
+                           args.optimize)
         out.write(program.listing() + "\n")
     return 0
 
 
 def cmd_speedup(args, out, err):
     import repro
+    keys = args.machine or ["vliw3"]
+    configs = _machines(keys)
     program = _load(args)
-    for name in args.machine:
-        config = _MACHINES[name]()
-        regioning = "bb" if name in ("seq", "bam") else "trace"
+    for key in keys:
+        config, regioning = configs[key]
         value = repro.measure_speedup(program, config,
                                       regioning=regioning)
-        out.write("%-8s %.2fx\n" % (name, value))
+        out.write("%-8s %.2fx\n" % (key, value))
     return 0
 
 
@@ -163,16 +212,13 @@ def _analyze_target(spec):
 
 def _analyze_suite(args, out, err):
     """Dataflow-pass sweep + static ILP bound over suite benchmarks."""
-    import json
     import time
-    from repro.analysis.report import (
-        diagnostics_document, validate_analysis)
+    from repro.analysis.report import validate_analysis
     from repro.benchmarks import TABLE_BENCHMARKS
     from repro.evaluation.parallel import configure
 
     names = args.bench or list(TABLE_BENCHMARKS)
-    if _unknown_benchmarks(names, err):
-        return 2
+    _check_benchmarks(names)
     engine = configure(jobs=_resolve_jobs(args),
                        policy=_supervisor_policy(args))
     specs = [{"bench": name, "budget": args.tail_dup_budget}
@@ -182,13 +228,12 @@ def _analyze_suite(args, out, err):
     elapsed = time.perf_counter() - started
 
     records = [record for record, _seconds in results]
-    document = diagnostics_document("analyze", records)
-    problems = validate_analysis(document)
-    for problem in problems:
-        err.write("analyze: schema problem: %s\n" % problem)
-
     # Keep stdout pure JSON in --format json; notices go to stderr.
-    notice = err if args.format == "json" else out
+    json_format = args.format == "json"
+    document, problems = _emit_diagnostics_json(
+        "analyze", records, out if json_format else None, err,
+        validate_analysis)
+    notice = err if json_format else out
     published = True
     if args.perf:
         from repro.analysis.driver import (
@@ -202,9 +247,7 @@ def _analyze_suite(args, out, err):
     if args.output and not problems:
         published &= _publish("analyze", document, args.output,
                               validate_analysis, notice, err)
-    if args.format == "json":
-        out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    else:
+    if not json_format:
         out.write("%-12s %9s %9s %9s %8s %8s %6s %6s\n"
                   % ("benchmark", "seq", "achieved", "dfl-limit",
                      "ach-ilp", "dfl-ilp", "gap", "diags"))
@@ -229,19 +272,16 @@ def cmd_bench(args, out, err):
     from repro.benchmarks.perf import (
         QUICK_BENCHMARKS, bench_document, format_bench, validate_bench)
     if args.name and args.quick:
-        err.write("bench: give benchmark names or --quick, not both\n")
-        return 2
+        raise UsageError("give benchmark names or --quick, not both")
     if args.repeat < 1:
-        err.write("bench: --repeat must be at least 1\n")
-        return 2
+        raise UsageError("--repeat must be at least 1")
     if args.quick:
         names = list(QUICK_BENCHMARKS)
     elif args.name:
         names = args.name
     else:
         names = list(TABLE_BENCHMARKS)
-    if _unknown_benchmarks(names, err):
-        return 2
+    _check_benchmarks(names)
     document = bench_document(
         names, repeats=args.repeat,
         progress=lambda entry: out.write(format_bench(entry) + "\n"))
@@ -259,18 +299,6 @@ def cmd_bench(args, out, err):
                     out, err):
         return 1
     return 0
-
-
-def _unknown_benchmarks(names, err):
-    """Name the *names* that are no suite benchmark (on *err*); returns
-    whether there was any (a usage error)."""
-    from repro.benchmarks import PROGRAMS
-    unknown = [name for name in names if name not in PROGRAMS]
-    if unknown:
-        err.write("unknown benchmark(s) %s; available: %s\n"
-                  % (", ".join(sorted(unknown)),
-                     ", ".join(sorted(PROGRAMS))))
-    return bool(unknown)
 
 
 def _publish(tool, document, path, validate, out, err):
@@ -320,9 +348,14 @@ def _write_supervisor_report(args, engine, out):
         out.write("wrote %s\n" % path)
 
 
-def _add_supervisor_flags(parser, report=True):
-    """--cell-timeout and --max-attempts; *report* adds --report, for
-    the sub-commands that write the sweep's EvaluationReport."""
+def _add_supervisor_flags(parser, jobs=True, report=True):
+    """-j/--jobs (*jobs*; query sizes its pool by --or-jobs instead),
+    --cell-timeout and --max-attempts; *report* adds --report, for the
+    sub-commands that write the sweep's EvaluationReport."""
+    if jobs:
+        parser.add_argument("-j", "--jobs", type=int, metavar="N",
+                            help="worker processes (default: all "
+                                 "cores; 1 = in-process)")
     parser.add_argument("--cell-timeout", type=float, metavar="SECONDS",
                         help="watchdog deadline per evaluation task "
                              "(default 300; 0 disables)")
@@ -378,6 +411,10 @@ def _traced(path, body, out, err):
 
 
 def cmd_evaluate(args, out, err):
+    if args.bench and args.output:
+        raise UsageError("--output writes the paper's artefacts; the "
+                         "--bench smoke table is not one")
+    _check_benchmarks(args.bench or [])
     if args.trace:
         body = lambda: _cmd_evaluate(args, out, err)
         return _traced(args.trace, body, out, err)
@@ -387,10 +424,6 @@ def cmd_evaluate(args, out, err):
 def _cmd_evaluate(args, out, err):
     from repro.evaluation.parallel import configure
     from repro.experiments import run_all, write_results
-    if args.bench and args.output:
-        err.write("evaluate: --output writes the paper's artefacts; "
-                  "the --bench smoke table is not one\n")
-        return 2
     engine = configure(jobs=_resolve_jobs(args),
                        policy=_supervisor_policy(args))
     if args.bench:
@@ -428,10 +461,7 @@ def _report_profile_backends(out):
 
 def _evaluate_smoke(args, engine, out, err):
     """Evaluate a named subset of benchmarks (the CI smoke sweep)."""
-    from repro.experiments.data import master_configs
-    if _unknown_benchmarks(args.bench, err):
-        return 2
-    configs = master_configs()
+    configs = _machines()
     evaluations = engine.evaluate_many(
         [{"name": name, "configs": configs} for name in args.bench])
     keys = sorted(configs)
@@ -456,9 +486,8 @@ def cmd_trace(args, out, err):
     try:
         lines = load_trace(args.trace_file)
     except OSError as error:
-        err.write("trace: cannot read %s: %s\n"
-                  % (args.trace_file, error))
-        return 2
+        raise UsageError("cannot read %s: %s" % (
+            args.trace_file, error.strerror or error)) from None
     except ValueError as error:
         err.write("trace: %s is not JSONL: %s\n"
                   % (args.trace_file, error))
@@ -496,18 +525,21 @@ def cmd_trace(args, out, err):
     return 0
 
 
-def _emit_diagnostics_json(tool, entries, out, err):
-    """Serialize per-target diagnostics as the shared JSON document
-    (self-validated before it is printed)."""
+def _emit_diagnostics_json(tool, entries, out, err, validate=None):
+    """Build the shared JSON document over per-target *entries*, name
+    each problem *validate* (default: ``validate_diagnostics``) finds
+    on *err*, and print the document on *out* (unless it is None).
+    Returns ``(document, problems)``."""
     import json
     from repro.analysis.report import (
         diagnostics_document, validate_diagnostics)
     document = diagnostics_document(tool, entries)
-    problems = validate_diagnostics(document)
+    problems = (validate or validate_diagnostics)(document)
     for problem in problems:
         err.write("%s: schema problem: %s\n" % (tool, problem))
-    out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return bool(problems)
+    if out is not None:
+        out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    return document, problems
 
 
 def cmd_lint(args, out, err):
@@ -516,11 +548,11 @@ def cmd_lint(args, out, err):
     program = _load(args)
     diagnostics = lint_program(program)
     if args.format == "json":
-        broken = _emit_diagnostics_json(
+        _, problems = _emit_diagnostics_json(
             "lint",
             [target_entry(args.file, diagnostics, ops=len(program))],
             out, err)
-        return 1 if (diagnostics or broken) else 0
+        return 1 if (diagnostics or problems) else 0
     if diagnostics:
         err.write(format_diagnostics(diagnostics) + "\n")
         err.write("%s: %d lint finding(s)\n"
@@ -536,8 +568,7 @@ def cmd_corpus(args, out, err):
         run_corpus_sweep, validate_corpus_bench)
 
     if args.quick and args.count is not None:
-        err.write("corpus: give --count or --quick, not both\n")
-        return 2
+        raise UsageError("give --count or --quick, not both")
     count = 10 if args.quick else (args.count
                                    if args.count is not None else 200)
     engine = configure(jobs=_resolve_jobs(args),
@@ -596,11 +627,9 @@ def _verify_target(spec):
     """Run the independent checker over one target (pool worker)."""
     from repro.evaluation.pipeline import verify_evaluation
 
-    if "file" in spec:
-        program = compile_program(_source(spec["file"]),
-                                  (spec["entry"], 0))
-        if spec["optimize"]:
-            program, _ = optimize_program(program)
+    if "source" in spec:
+        program = _compile(spec["source"], spec["entry"],
+                           optimize=spec["optimize"])
     else:
         program = compile_benchmark(spec["bench"])
     hint = os.path.basename(spec.get("file") or spec["bench"]) + "-"
@@ -616,27 +645,18 @@ def cmd_verify(args, out, err):
     from repro.analysis import format_diagnostics
     from repro.benchmarks import TABLE_BENCHMARKS
     from repro.evaluation.parallel import configure
-    from repro.experiments.data import master_configs
 
-    configs = master_configs()
-    if args.machine:
-        unknown = [m for m in args.machine if m not in configs]
-        if unknown:
-            err.write("unknown machine key(s) %s; available: %s\n"
-                      % (", ".join(sorted(unknown)),
-                         ", ".join(sorted(configs))))
-            return 2
-        configs = {key: configs[key] for key in args.machine}
-
+    configs = _machines(args.machine)
     common = {"configs": configs, "tail_dup_budget": args.tail_dup_budget,
               "bank_size": args.bank_size}
     specs = []
     if args.file:
-        specs.append(dict(common, file=args.file, entry=args.entry,
+        # Read here, so the pool worker never touches the file system.
+        specs.append(dict(common, file=args.file,
+                          source=_source(args.file), entry=args.entry,
                           optimize=args.optimize))
     names = args.bench or ([] if args.file else list(TABLE_BENCHMARKS))
-    if _unknown_benchmarks(names, err):
-        return 2
+    _check_benchmarks(names)
     specs.extend(dict(common, bench=name) for name in names)
 
     # The checker sweep is one independent task per target; fan the
@@ -656,9 +676,9 @@ def cmd_verify(args, out, err):
             entries.append(target_entry(
                 name, diagnostics, ops=n_ops,
                 machine_configs=sorted(configs)))
-        broken = _emit_diagnostics_json("verify", entries, out, err)
+        _, problems = _emit_diagnostics_json("verify", entries, out, err)
         _write_supervisor_report(args, engine, out)
-        return 1 if (any_findings or broken) else 0
+        return 1 if (any_findings or problems) else 0
 
     status = 0
     total = 0
@@ -750,29 +770,20 @@ def cmd_serve(args, out, err):
 def cmd_query(args, out, err):
     if args.sweep:
         if args.report:
-            err.write("query: --report applies to one query, not to "
-                      "--sweep\n")
-            return 2
+            raise UsageError("--report applies to one query, not to "
+                             "--sweep")
         return _query_sweep(args, out, err)
     if bool(args.benchmark) == bool(args.file):
-        err.write("query: give a suite benchmark name or --file "
-                  "(one of them, not both)\n")
-        return 2
+        raise UsageError("give a suite benchmark name or --file (one of "
+                         "them, not both)")
     if args.file:
-        try:
-            with open(args.file) as handle:
-                source = handle.read()
-        except OSError as error:
-            err.write("query: cannot read %s: %s\n"
-                      % (args.file, error))
-            return 2
+        source = _source(args.file)
     else:
         from repro.benchmarks.suite import resolve_program
         try:
             source = resolve_program(args.benchmark).source
         except KeyError as error:
-            err.write("query: %s\n" % error.args[0])
-            return 2
+            raise UsageError(error.args[0]) from None
 
     from repro.evaluation.parallel import configure
     from repro.interp.engine import PrologError
@@ -907,25 +918,16 @@ def build_parser():
 
     p = sub.add_parser("speedup", help="measure machine speedups")
     _add_compile_flags(p)
-    p.add_argument("-m", "--machine", action="append",
-                   choices=sorted(_MACHINES),
-                   help="machine model (repeatable; default vliw3)")
+    p.add_argument("-m", "--machine", action="append", metavar="KEY",
+                   help="machine config key (repeatable; default "
+                        "vliw3)")
     p.set_defaults(func=cmd_speedup)
 
     p = sub.add_parser("analyze",
                        help="per-file: instruction mix + branch stats; "
                             "without a file: dataflow passes + static "
                             "ILP bound over suite benchmarks")
-    p.add_argument("file", nargs="?",
-                   help="Prolog source file (omit for the suite sweep)")
-    p.add_argument("--entry", default="main",
-                   help="entry predicate (arity 0; default main)")
-    p.add_argument("--optimize", action="store_true",
-                   help="run the block-local ICI optimiser")
-    p.add_argument("--no-indexing", action="store_true",
-                   help="disable first-argument indexing")
-    p.add_argument("--no-lco", action="store_true",
-                   help="disable last-call optimisation")
+    _add_compile_flags(p, optional=True)
     p.add_argument("--max-steps", type=int, default=500_000_000)
     p.add_argument("--bench", action="append", metavar="NAME",
                    help="suite benchmark to analyze (repeatable; "
@@ -939,9 +941,6 @@ def build_parser():
                    help="write the analysis overhead record "
                         "(BENCH_analyze.json layout) to PATH")
     p.add_argument("--tail-dup-budget", type=int, default=48)
-    p.add_argument("-j", "--jobs", type=int, metavar="N",
-                   help="analysis worker processes (default: all "
-                        "cores; 1 = in-process)")
     _add_supervisor_flags(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -966,9 +965,6 @@ def build_parser():
     p = sub.add_parser("evaluate", help="regenerate the paper's tables")
     p.add_argument("--extras", action="store_true",
                    help="include ablations / future-work studies")
-    p.add_argument("-j", "--jobs", type=int, metavar="N",
-                   help="evaluation worker processes (default: all "
-                        "cores; 1 = in-process)")
     p.add_argument("--bench", action="append", metavar="NAME",
                    help="smoke-sweep only these benchmarks under the "
                         "master configs (repeatable)")
@@ -1022,9 +1018,6 @@ def build_parser():
                    metavar="PATH",
                    help="corpus document path (default "
                         "results/BENCH_corpus.json)")
-    p.add_argument("-j", "--jobs", type=int, metavar="N",
-                   help="sweep worker processes (default: all cores; "
-                        "1 = in-process)")
     _add_supervisor_flags(p)
     p.set_defaults(func=cmd_corpus)
 
@@ -1049,9 +1042,6 @@ def build_parser():
                    default="text",
                    help="diagnostics as human text (default) or the "
                         "shared JSON document")
-    p.add_argument("-j", "--jobs", type=int, metavar="N",
-                   help="verification worker processes (default: all "
-                        "cores; 1 = in-process)")
     _add_supervisor_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -1062,9 +1052,6 @@ def build_parser():
     p.add_argument("--port", type=int, default=0,
                    help="listen port (default 0 = ephemeral, printed "
                         "at startup)")
-    p.add_argument("-j", "--jobs", type=int, metavar="N",
-                   help="evaluation worker processes (default: all "
-                        "cores; 1 = in-process)")
     p.add_argument("--cache-dir", metavar="PATH",
                    help="cache root (default: REPRO_CACHE_DIR)")
     p.add_argument("--queue-limit", type=int, default=64, metavar="N",
@@ -1125,7 +1112,7 @@ def build_parser():
     p.add_argument("--output", metavar="PATH",
                    help="with --sweep: bench document path (default "
                         "results/BENCH_orparallel.json)")
-    _add_supervisor_flags(p)
+    _add_supervisor_flags(p, jobs=False)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("cache",
@@ -1154,11 +1141,12 @@ def main(argv=None, out=None, err=None):
     except ValueError as error:
         err.write("repro: %s\n" % error)
         return 2
-    if args.command == "speedup" and not args.machine:
-        args.machine = ["vliw3"]
     from repro.evaluation.parallel import EvaluationError, shared_engine
     try:
         return args.func(args, out, err)
+    except UsageError as error:
+        err.write("repro %s: %s\n" % (args.command, error))
+        return 2
     except EvaluationError as error:
         # Some sweep task still failed after its retries; the rest of
         # the sweep ran.  Name the failures, then the supervisor's

@@ -79,10 +79,69 @@ def test_speedup_default_machine(program_file):
 
 def test_speedup_multiple_machines(program_file):
     status, text, errors = run_cli(["speedup", program_file, "-m", "seq",
-                            "-m", "ideal"])
+                            "-m", "tr_ideal"])
     lines = text.strip().splitlines()
     assert len(lines) == 2
     assert abs(float(lines[0].split()[1].rstrip("x")) - 1.0) < 1e-9
+
+
+def test_speedup_accepts_every_master_key(program_file):
+    """``speedup -m KEY`` measures each key of the one machine table
+    under that key's own regioning."""
+    import repro
+    from repro.experiments.data import master_configs
+    configs = master_configs()
+    status, text, errors = run_cli(
+        ["speedup", program_file]
+        + [arg for key in configs for arg in ("-m", key)])
+    assert status == 0, errors
+    program = repro.compile_prolog(SOURCE)
+    assert text.splitlines() == [
+        "%-8s %.2fx" % (key, repro.measure_speedup(
+            program, config, regioning=regioning))
+        for key, (config, regioning) in configs.items()]
+
+
+def test_unknown_machine_key_is_a_usage_error(program_file):
+    """``speedup`` and ``verify`` answer an unknown key alike: exit 2
+    and the same list of the 11 master keys."""
+    from repro.experiments.data import master_configs
+    keys = sorted(master_configs())
+    assert len(keys) == 11
+    listed = []
+    for argv in (["speedup", program_file, "-m", "warp9"],
+                 ["verify", "-m", "warp9"]):
+        status, text, errors = run_cli(argv)
+        assert status == 2
+        assert "warp9" in errors
+        (line,) = errors.splitlines()
+        listed.append(line.split("available: ")[1])
+    assert listed == [", ".join(keys)] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["listing"], ["speedup"], ["analyze"], ["lint"],
+    ["verify", "--jobs", "1", "--file"],
+    ["verify", "--jobs", "2", "--file"],
+    ["query", "--file"],
+], ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv))
+def test_unreadable_file_is_a_usage_error(argv, tmp_path, monkeypatch):
+    """A FILE that cannot be read is named on one line and exits 2,
+    before anything is compiled or any worker pool starts."""
+    from repro import cli
+    from repro.evaluation import parallel
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before FILE was read")
+
+    monkeypatch.setattr(cli, "compile_program", forbidden)
+    monkeypatch.setattr(parallel, "configure", forbidden)
+    path = str(tmp_path / "missing.pl")
+    status, text, errors = run_cli(argv + [path])
+    assert status == 2
+    (line,) = errors.splitlines()
+    assert "%s: cannot read %s: " % (argv[0], path) in line
+    assert text == ""
 
 
 def test_analyze_reports_mix_and_branches(program_file):
