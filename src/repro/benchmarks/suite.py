@@ -136,12 +136,14 @@ def compile_benchmark(name):
     return compile_program(resolve_program(name).source)
 
 
-def run_program_cached(program, key_hint=""):
+def run_program_cached(program, key_hint="", expected_steps=None):
     """Emulate *program*, memoised as an ``emulation`` entry of the
     :func:`~repro.evaluation.cache.current_store` keyed on its
-    fingerprint.  *key_hint* only labels the span of a miss.  The
-    payload records the loop that produced it (short runs are answered
-    on the reference loop, long ones compiled).
+    fingerprint.  *key_hint* only labels the span of a miss, and
+    *expected_steps* only reaches :func:`run_program`'s choice of loop:
+    neither is part of the key.  The payload records the loop that
+    produced it (short runs are answered on the reference loop, long
+    ones compiled).
     """
     from repro.evaluation.cache import current_store
     from repro.evaluation.parallel import artefact_key
@@ -154,7 +156,7 @@ def run_program_cached(program, key_hint=""):
                                data["output"], data["counts"],
                                data["taken"], backend=data["backend"])
     with observe.span("pipeline.profile", hint=key_hint) as sp:
-        result = run_program(program)
+        result = run_program(program, expected_steps=expected_steps)
         sp.set(steps=result.steps, status=result.status)
     store.put(key, {"status": result.status, "steps": result.steps,
                     "output": result.output, "counts": result.counts,

@@ -47,21 +47,24 @@ written and the command exits 1.
 Exit codes: 0 = success/clean, 1 = violations found (lint/verify), a
 failing program status, a sweep task that failed every attempt or an
 invalid record, 2 = usage error (argparse's, or a :class:`UsageError`
-named as ``repro <command>: <message>``: an unreadable FILE, an
-unknown benchmark or machine key, conflicting flags), 130 =
+named as ``repro <command>: <message>``: an unreadable FILE, a Prolog
+syntax or compile error in it, an unknown benchmark or machine key,
+conflicting flags), 130 =
 interrupted (SIGINT).  Diagnostics go to stderr.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
-from repro.bam import compile_source, CompilerOptions
+from repro.bam import compile_source, CompilerOptions, CompileError
 from repro.benchmarks.suite import (
     compile_benchmark, compile_program, run_program_cached)
 from repro.intcode import optimize_program
 from repro.emulator import run_program
 from repro.intcode.ici import instruction_mix
+from repro.reader import ParseError, parse_program
 
 
 class UsageError(Exception):
@@ -86,11 +89,23 @@ def _options(args):
                            lco=not args.no_lco)
 
 
-def _compile(source, entry="main", options=None, optimize=False):
-    """The one way the CLI turns Prolog text into a program: the
-    memoised front end, then (with *optimize*) the block-local ICI
-    optimiser."""
-    program = compile_program(source, (entry, 0), options)
+@contextlib.contextmanager
+def _diagnosed(path):
+    """A Prolog syntax or compile error in FILE *path* is a usage
+    error: one line naming the file."""
+    try:
+        yield
+    except (ParseError, CompileError) as error:
+        raise UsageError("%s: %s" % (path, error)) from None
+
+
+def _compile(source, entry="main", options=None, optimize=False,
+             path=None):
+    """The one way the CLI turns Prolog text (of FILE *path*) into a
+    program: the memoised front end, then (with *optimize*) the
+    block-local ICI optimiser."""
+    with _diagnosed(path):
+        program = compile_program(source, (entry, 0), options)
     if optimize:
         program, _ = optimize_program(program)
     return program
@@ -98,7 +113,7 @@ def _compile(source, entry="main", options=None, optimize=False):
 
 def _load(args):
     return _compile(_source(args.file), args.entry, _options(args),
-                    args.optimize)
+                    args.optimize, args.file)
 
 
 def _machines(keys=None):
@@ -158,12 +173,13 @@ def cmd_run(args, out, err):
 def cmd_listing(args, out, err):
     source = _source(args.file)
     if args.level in ("bam", "both"):
-        module = compile_source(source, (args.entry, 0),
-                                options=_options(args))
+        with _diagnosed(args.file):
+            module = compile_source(source, (args.entry, 0),
+                                    options=_options(args))
         out.write(module.listing() + "\n")
     if args.level in ("ici", "both"):
         program = _compile(source, args.entry, _options(args),
-                           args.optimize)
+                           args.optimize, args.file)
         out.write(program.listing() + "\n")
     return 0
 
@@ -181,8 +197,20 @@ def cmd_speedup(args, out, err):
     return 0
 
 
+#: (attribute, flag) of the analyze flags only the suite sweep reads
+_SWEEP_ONLY = (("bench", "--bench"), ("format", "--format"),
+               ("output", "--output"), ("perf", "--perf"),
+               ("jobs", "--jobs"), ("cell_timeout", "--cell-timeout"),
+               ("max_attempts", "--max-attempts"), ("report", "--report"))
+
+
 def cmd_analyze(args, out, err):
     if args.file:
+        given = [flag for name, flag in _SWEEP_ONLY
+                 if getattr(args, name) is not None]
+        if given:
+            raise UsageError("FILE takes none of the suite-sweep flags: "
+                             + ", ".join(given))
         return _analyze_file(args, out, err)
     return _analyze_suite(args, out, err)
 
@@ -629,7 +657,7 @@ def _verify_target(spec):
 
     if "source" in spec:
         program = _compile(spec["source"], spec["entry"],
-                           optimize=spec["optimize"])
+                           optimize=spec["optimize"], path=spec["file"])
     else:
         program = compile_benchmark(spec["bench"])
     hint = os.path.basename(spec.get("file") or spec["bench"]) + "-"
@@ -651,10 +679,13 @@ def cmd_verify(args, out, err):
               "bank_size": args.bank_size}
     specs = []
     if args.file:
-        # Read here, so the pool worker never touches the file system.
-        specs.append(dict(common, file=args.file,
-                          source=_source(args.file), entry=args.entry,
-                          optimize=args.optimize))
+        # Read and compiled here, so a bad FILE is a usage error and the
+        # pool worker never touches the file system.
+        source = _source(args.file)
+        _compile(source, args.entry, optimize=args.optimize,
+                 path=args.file)
+        specs.append(dict(common, file=args.file, source=source,
+                          entry=args.entry, optimize=args.optimize))
     names = args.bench or ([] if args.file else list(TABLE_BENCHMARKS))
     _check_benchmarks(names)
     specs.extend(dict(common, bench=name) for name in names)
@@ -778,6 +809,8 @@ def cmd_query(args, out, err):
                          "them, not both)")
     if args.file:
         source = _source(args.file)
+        with _diagnosed(args.file):
+            parse_program(source)
     else:
         from repro.benchmarks.suite import resolve_program
         try:
@@ -933,7 +966,6 @@ def build_parser():
                    help="suite benchmark to analyze (repeatable; "
                         "default: the paper's table benchmarks)")
     p.add_argument("--format", choices=("text", "json"),
-                   default="text",
                    help="suite-sweep output format (default text)")
     p.add_argument("--output", metavar="PATH",
                    help="also write the JSON analyze document to PATH")

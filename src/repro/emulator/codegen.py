@@ -42,8 +42,9 @@ function and run through :func:`compile`, with
 Compilation happens in-process, once per :class:`Program` (memoised on
 it), and nothing is persisted: :func:`~repro.emulator.machine.run_program`
 only reaches this backend for runs that outlive its step budget on the
-reference loop, and a second evaluation of the same program is answered
-by the ``emulation`` store entry without running anything.
+reference loop (2000 steps per ICI) or that its caller expects to, and
+a second evaluation of the same program is answered by the
+``emulation`` store entry without running anything.
 
 The backend is *semantics-complete or honest*: anything it cannot
 compile becomes a bail-out, and any bail-out or machine fault at run

@@ -11,8 +11,9 @@ tuples; correctness and statistics, not speed, are its contract.  The
 fast path is the codegen loop in :mod:`repro.emulator.codegen` (the
 whole program compiled to one Python function, registers as locals),
 which must stay bit-identical to this loop.  :func:`run_program` runs
-this loop first and compiles only programs that outlive
-:data:`_COMPILE_AFTER_STEPS`.
+this loop first and compiles only programs that outlive a budget of
+:data:`_COMPILE_STEPS_PER_ICI` steps per ICI, or that its caller
+already expects to.
 """
 
 from array import array
@@ -22,13 +23,13 @@ from repro.intcode import layout
 
 BACKENDS = ("codegen", "reference")
 
-#: steps :func:`run_program` spends on the reference loop before it
-#: compiles.  Compiling costs a fixed 0.1-0.5 s that only long runs win
-#: back: from cold, sendmore (1.06 M steps) is about break-even and tak
-#: (4.95 M steps) is several times faster compiled.  A run just past
-#: the budget pays for it twice, so the budget sits well above
-#: break-even.
-_COMPILE_AFTER_STEPS = 2_000_000
+#: reference-loop steps per ICI :func:`run_program` spends before it
+#: compiles.  Compiling costs about 0.35 ms per ICI, so it grows with
+#: code size, not run length, and only long runs win it back: from
+#: cold, sendmore (1099 ICIs) breaks even near 1 M steps, about 1000
+#: steps per ICI.  A run just past the budget pays for it twice, so the
+#: budget sits at twice break-even.
+_COMPILE_STEPS_PER_ICI = 2000
 
 _STEP_LIMIT = "step limit exceeded (%d)"
 
@@ -386,17 +387,21 @@ def _reify(mem, symbols, word, seen, depth=0):
     return Atom("<%s>" % tags.describe(word))
 
 
-def run_program(program, max_steps=500_000_000):
+def run_program(program, max_steps=500_000_000, *, expected_steps=None):
     """Emulate *program* and return the :class:`EmulationResult`.
 
-    The reference loop runs first, for up to
-    :data:`_COMPILE_AFTER_STEPS` steps: a run that finishes (or faults)
-    inside that budget is the answer.  Only a run that is still going
-    at the budget restarts from the beginning on
-    :class:`~repro.emulator.codegen.CodegenEmulator`, which itself
+    The reference loop runs first, for a budget of up to
+    :data:`_COMPILE_STEPS_PER_ICI` steps per ICI of the program: a run
+    that finishes (or faults) inside that budget is the answer.  Only a
+    run that is still going at the budget restarts from the beginning
+    on :class:`~repro.emulator.codegen.CodegenEmulator`, which itself
     falls back to the reference loop on anything it cannot handle
-    exactly.  Both loops produce bit-identical data, and
-    ``result.backend`` names the loop that produced it.
+    exactly.  *expected_steps* is an advisory run length (say, of a
+    program known to do the same work): past the budget, the compiled
+    loop runs from the start and no reference prefix is thrown away.
+    A wrong hint costs time, never a different result or fault.  Both
+    loops produce bit-identical data, and ``result.backend`` names the
+    loop that produced it.
     """
     from repro.testing import faults
     from repro.observability import tracing as observe
@@ -410,28 +415,38 @@ def run_program(program, max_steps=500_000_000):
     tracer = observe.active()
     span = tracer.open("emulator.run") if tracer else None
     try:
-        result = _emulate(program, max_steps)
+        result, discarded, hinted = _emulate(program, max_steps,
+                                             expected_steps)
     except BaseException as error:
         if tracer is not None:
             tracer.close(span, error=error)
         raise
     if tracer is not None:
-        # the span records the loop that produced the result
+        # the span records the loop that produced the result, the
+        # reference steps thrown away before a restart, and whether the
+        # hint chose the compiled loop
         tracer.close(span.set(steps=result.steps, status=result.status,
-                              backend=result.backend))
+                              backend=result.backend,
+                              discarded_steps=discarded, hinted=hinted))
         tracer.metrics.add("emulator.runs")
         tracer.metrics.add("emulator.steps", result.steps)
+        tracer.metrics.add("emulator.discarded_steps", discarded)
     return result
 
 
-def _emulate(program, max_steps):
+def _emulate(program, max_steps, expected_steps):
     """Reference loop up to the compile budget, the compiled loop from
-    the start for longer runs."""
-    budget = min(max_steps, _COMPILE_AFTER_STEPS)
-    try:
-        return Emulator(program, max_steps=budget).run()
-    except EmulatorError as error:
-        if max_steps <= budget or str(error) != _STEP_LIMIT % budget:
-            raise
+    the start for longer runs.  Returns ``(result, discarded reference
+    steps, hinted)``."""
+    budget = min(max_steps,
+                 _COMPILE_STEPS_PER_ICI * len(program.instructions))
+    hinted = max_steps > budget and (expected_steps or 0) > budget
+    if not hinted:
+        try:
+            return Emulator(program, max_steps=budget).run(), 0, False
+        except EmulatorError as error:
+            if max_steps <= budget or str(error) != _STEP_LIMIT % budget:
+                raise
     from repro.emulator.codegen import CodegenEmulator
-    return CodegenEmulator(program, max_steps=max_steps).run()
+    result = CodegenEmulator(program, max_steps=max_steps).run()
+    return result, 0 if hinted else budget, hinted

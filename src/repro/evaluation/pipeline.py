@@ -76,6 +76,8 @@ def superblock_regions(program, result, tail_dup_budget=48,
 
     The transformed program is re-emulated (cached) both for exact region
     counts and as a semantic equivalence check against the original run.
+    It does the same work as the original, so the original's step count
+    tells the emulator how long the re-emulation will run.
     """
     with observe.span("pipeline.superblock",
                       budget=tail_dup_budget) as sp:
@@ -83,7 +85,8 @@ def superblock_regions(program, result, tail_dup_budget=48,
         transform = form_superblocks(program, result.counts,
                                      result.taken, tail_dup_budget)
         new_result = run_program_cached(
-            transform.program, cache_hint + "sb%d-" % tail_dup_budget)
+            transform.program, cache_hint + "sb%d-" % tail_dup_budget,
+            expected_steps=result.steps)
         if (new_result.status, new_result.output) != (result.status,
                                                       result.output):
             raise AssertionError(

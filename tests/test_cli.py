@@ -144,6 +144,75 @@ def test_unreadable_file_is_a_usage_error(argv, tmp_path, monkeypatch):
     assert text == ""
 
 
+FILE_COMMANDS = [
+    ["run"], ["listing"], ["listing", "--level", "bam"], ["speedup"],
+    ["analyze"], ["lint"], ["verify", "--jobs", "1", "--file"],
+    ["verify", "--jobs", "2", "--file"], ["query", "--file"],
+]
+
+
+def _bad_files():
+    """(argv, source, message) for every FILE command: a syntax error
+    for all of them, a compile error for those that compile (query runs
+    the interpreter, for which an undefined goal is the query's own
+    failure, not a usage error)."""
+    for argv in FILE_COMMANDS:
+        name = "-".join(arg.lstrip("-") for arg in argv)
+        yield pytest.param(argv, "main :- foo(.\n", "unexpected token",
+                           id=name + "-syntax")
+        if argv[0] != "query":
+            yield pytest.param(argv, "foo :- true.\n",
+                               "undefined predicates: main/0",
+                               id=name + "-compile")
+
+
+@pytest.mark.parametrize("argv, source, message", list(_bad_files()))
+def test_prolog_error_in_file_is_a_usage_error(argv, source, message,
+                                               tmp_path, monkeypatch):
+    """A FILE that does not parse or compile is named on one line and
+    exits 2, before any worker pool starts."""
+    from repro.evaluation import parallel
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pool started for a bad FILE")
+
+    monkeypatch.setattr(parallel, "configure", forbidden)
+    path = tmp_path / "bad.pl"
+    path.write_text(source)
+    status, text, errors = run_cli(argv + [str(path)])
+    assert status == 2
+    (line,) = errors.splitlines()
+    assert line.startswith("repro %s: %s: %s" % (argv[0], path, message))
+    assert text == ""
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--format", "json", "--output", "a.json"], "--format, --output"),
+    (["--perf", "p.json"], "--perf"),
+    (["--bench", "tak", "--jobs", "2"], "--bench, --jobs"),
+    (["--cell-timeout", "3", "--max-attempts", "2", "--report", "r.json"],
+     "--cell-timeout, --max-attempts, --report"),
+], ids=["format-output", "perf", "bench-jobs", "supervisor"])
+def test_analyze_file_refuses_sweep_flags(flags, named, program_file,
+                                          tmp_path, monkeypatch):
+    """``analyze FILE`` names the suite-sweep flags it was given and
+    exits 2 before anything is compiled or written."""
+    from repro import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compiled despite sweep-only flags")
+
+    monkeypatch.setattr(cli, "compile_program", forbidden)
+    monkeypatch.chdir(tmp_path)
+    status, text, errors = run_cli(["analyze", program_file] + flags)
+    assert status == 2
+    (line,) = errors.splitlines()
+    assert line == ("repro analyze: FILE takes none of the suite-sweep "
+                    "flags: " + named)
+    assert text == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["prog.pl"]
+
+
 def test_analyze_reports_mix_and_branches(program_file):
     status, text, errors = run_cli(["analyze", program_file])
     assert "dynamic operations:" in text
@@ -464,8 +533,8 @@ def test_evaluate_profile_column_names_the_producing_loop(
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     # a budget of 0 compiles every run; the default budget would answer
     # conc30 on the reference loop, but the second sweep is a cache hit
-    for budget in (0, machine._COMPILE_AFTER_STEPS):
-        monkeypatch.setattr(machine, "_COMPILE_AFTER_STEPS", budget)
+    for per_ici in (0, machine._COMPILE_STEPS_PER_ICI):
+        monkeypatch.setattr(machine, "_COMPILE_STEPS_PER_ICI", per_ici)
         fresh_memos(monkeypatch)
         status, text, errors = run_cli(
             ["evaluate", "--jobs", "1", "--bench", "conc30"])

@@ -56,7 +56,7 @@ def test_run_program_reports_backend():
 
 
 def test_run_program_reports_codegen_backend(monkeypatch):
-    monkeypatch.setattr(machine_mod, "_COMPILE_AFTER_STEPS", 0)
+    monkeypatch.setattr(machine_mod, "_COMPILE_STEPS_PER_ICI", 0)
     program = compile_program(HELLO)
     assert run_program(program).backend == "codegen"
 
@@ -71,10 +71,11 @@ def test_run_inside_budget_reports_reference():
 
 
 def test_run_past_budget_hands_over_to_codegen(monkeypatch):
-    monkeypatch.setattr(machine_mod, "_COMPILE_AFTER_STEPS", 100)
+    monkeypatch.setattr(machine_mod, "_COMPILE_STEPS_PER_ICI", 1)
     program = compile_program(LOOP)
+    budget = len(program.instructions)
     expected = Emulator(program).run()
-    assert expected.steps > 100
+    assert expected.steps > budget
     result = run_program(program)
     assert result.backend == "codegen"
     for field in ("status", "steps", "output", "counts", "taken"):
@@ -83,10 +84,11 @@ def test_run_past_budget_hands_over_to_codegen(monkeypatch):
 
 def test_step_limit_past_budget_is_the_exact_reference_fault(
         monkeypatch):
-    monkeypatch.setattr(machine_mod, "_COMPILE_AFTER_STEPS", 100)
+    monkeypatch.setattr(machine_mod, "_COMPILE_STEPS_PER_ICI", 1)
     program = compile_program(LOOP)
+    budget = len(program.instructions)
     limit = Emulator(program).run().steps // 2
-    assert limit > 100
+    assert limit > budget
     with pytest.raises(EmulatorError) as reference_error:
         Emulator(program, max_steps=limit).run()
     with pytest.raises(EmulatorError) as route_error:
@@ -112,6 +114,99 @@ def test_fault_inside_budget_never_compiles(monkeypatch, source,
     with pytest.raises(EmulatorError) as route_error:
         run_program(program, max_steps=max_steps)
     assert str(route_error.value) == str(reference_error.value)
+
+
+# -- the expected-steps hint -----------------------------------------------
+# An advisory run length may send a run straight to the compiled loop;
+# whatever it says, the result or fault is the reference loop's own.
+
+FIELDS = ("status", "steps", "output", "counts", "taken")
+DIVIDE = "main :- X is 1 // 0, write(X)."
+
+
+def hints(steps):
+    return (None, 0, steps, 10 * steps)
+
+
+@pytest.mark.parametrize("name, per_ici", [
+    ("LOOP", None), ("LOOP", 1), ("HELLO", None), ("HELLO", 1),
+    ("tak", None),
+], ids=["loop", "loop-small-budget", "hello", "hello-small-budget",
+        "tak"])
+def test_expected_steps_never_changes_the_result(monkeypatch, name,
+                                                 per_ici):
+    from repro.benchmarks.suite import compile_benchmark
+    if per_ici is not None:
+        monkeypatch.setattr(machine_mod, "_COMPILE_STEPS_PER_ICI", per_ici)
+    program = compile_benchmark(name) if name == "tak" \
+        else compile_program(globals()[name])
+    budget = machine_mod._COMPILE_STEPS_PER_ICI * len(program.instructions)
+    expected = Emulator(program).run()
+    for hint in hints(expected.steps):
+        result = run_program(program, expected_steps=hint)
+        for field in FIELDS:
+            assert getattr(result, field) == getattr(expected, field), \
+                (hint, field)
+        if (hint or 0) > budget:
+            assert result.backend == "codegen", hint
+
+
+@pytest.mark.parametrize("per_ici", [None, 1],
+                         ids=["default-budget", "small-budget"])
+@pytest.mark.parametrize("source, max_steps", [
+    (DIVIDE, 500_000_000),
+    (LOOP, 5_000),
+], ids=["division-by-zero", "step-limit"])
+def test_expected_steps_keeps_the_exact_fault(monkeypatch, per_ici,
+                                              source, max_steps):
+    if per_ici is not None:
+        monkeypatch.setattr(machine_mod, "_COMPILE_STEPS_PER_ICI", per_ici)
+    program = compile_program(source)
+    budget = machine_mod._COMPILE_STEPS_PER_ICI * len(program.instructions)
+    with pytest.raises(EmulatorError) as reference_error:
+        Emulator(program, max_steps=max_steps).run()
+    for hint in hints(1_000_000):
+        with pytest.raises(EmulatorError) as route_error:
+            run_program(program, max_steps=max_steps, expected_steps=hint)
+        assert str(route_error.value) == str(reference_error.value), hint
+    # a step limit inside the budget is the reference loop's, hint or not
+    assert (program._codegen is None) == (max_steps <= budget)
+
+
+def test_hinted_superblock_reemulation_runs_no_reference_steps(
+        tmp_path, monkeypatch):
+    """tak's profile discards at most its size-scaled budget; its cold
+    superblock re-emulation, hinted with the profile's length, runs no
+    reference-loop step at all."""
+    from repro.benchmarks.suite import compile_benchmark
+    from repro.evaluation.pipeline import superblock_regions
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    program = compile_benchmark("tak")
+    with observe.activation(seed=0) as tracer:
+        profile = run_program(program)
+    [span] = tracer.find("emulator.run")
+    assert profile.backend == "codegen"
+    assert not span.attrs["hinted"]
+    assert 0 < span.attrs["discarded_steps"] \
+        <= machine_mod._COMPILE_STEPS_PER_ICI * len(program.instructions)
+    assert tracer.metrics.count("emulator.discarded_steps") \
+        == span.attrs["discarded_steps"]
+
+    reference_runs = []
+    original = Emulator.run
+
+    def counting(self, *args, **kwargs):
+        reference_runs.append(self.program)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Emulator, "run", counting)
+    with observe.activation(seed=0) as tracer:
+        superblock_regions(program, profile)
+    [span] = tracer.find("emulator.run")
+    assert span.attrs["hinted"] and span.attrs["backend"] == "codegen"
+    assert span.attrs["discarded_steps"] == 0
+    assert tracer.metrics.count("emulator.discarded_steps") == 0
+    assert reference_runs == []
 
 
 # -- program-level caches --------------------------------------------------

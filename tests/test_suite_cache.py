@@ -78,7 +78,7 @@ def test_corrupt_cache_entry_recomputed(tmp_path, monkeypatch):
 
 def test_profile_cache_records_backend(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(machine, "_COMPILE_AFTER_STEPS", 0)
+    monkeypatch.setattr(machine, "_COMPILE_STEPS_PER_ICI", 0)
     program = program_for(SOURCE_A)
     result = run_program_cached(program, "hello-")
     assert result.backend == "codegen"
@@ -94,7 +94,7 @@ def test_one_emulation_entry_per_program(tmp_path, monkeypatch):
     """The key is the fingerprint alone: the loop that produced the
     profile is provenance in the payload, not a key component."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(machine, "_COMPILE_AFTER_STEPS", 0)
+    monkeypatch.setattr(machine, "_COMPILE_STEPS_PER_ICI", 0)
     program = program_for(SOURCE_A)
     first = run_program_cached(program, "hello-")
     second = run_program_cached(program, "hello-")
