@@ -35,7 +35,7 @@ from repro.compaction import (
     symbol3_sequential)
 from repro.evaluation import (
     basic_block_regions, superblock_regions, machine_cycles,
-    evaluate_benchmark, EvaluationEngine, EvaluationError)
+    EvaluationEngine, EvaluationError)
 
 __version__ = "1.0.0"
 
@@ -106,7 +106,6 @@ __all__ = [
     "basic_block_regions",
     "superblock_regions",
     "machine_cycles",
-    "evaluate_benchmark",
     "EvaluationEngine",
     "EvaluationError",
     "__version__",

@@ -17,9 +17,8 @@ from repro.analysis.report import (
     diagnostic_to_json, diagnostics_document, target_entry,
     validate_analysis, validate_diagnostics)
 from repro.analysis.verify import (
-    VerificationError, check_schedule, check_pruned_edges,
-    check_transform, check_regions, check_allocation, NameLiveness,
-    off_live_names, raise_if_failed)
+    check_schedule, check_pruned_edges, check_transform, check_regions,
+    check_allocation, NameLiveness, off_live_names)
 
 __all__ = [
     "Cfg",
@@ -49,7 +48,6 @@ __all__ = [
     "target_entry",
     "validate_analysis",
     "validate_diagnostics",
-    "VerificationError",
     "check_schedule",
     "check_pruned_edges",
     "check_transform",
@@ -57,5 +55,4 @@ __all__ = [
     "check_allocation",
     "NameLiveness",
     "off_live_names",
-    "raise_if_failed",
 ]

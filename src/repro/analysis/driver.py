@@ -52,26 +52,24 @@ def _pass_span(name, benchmark):
     return observe.span("analyze.%s" % name, benchmark=benchmark)
 
 
-def _cycles_cell(fingerprint, regioning, budget, config, region_set,
-                 use_cache):
+def _cycles_cell(fingerprint, regioning, budget, config, region_set):
     """One machine's cycle count, memoised compatibly with the
     evaluation engine's ``cell`` artefacts (same key components)."""
     from repro.evaluation.parallel import config_signature, memoised
     from repro.evaluation.pipeline import machine_cycles
 
     def compute():
-        return {"cycles": machine_cycles(region_set, config),
-                "verified": False}
+        return {"cycles": machine_cycles(region_set, config)}
 
     payload = memoised(
         "cell",
         {"fingerprint": fingerprint, "regioning": regioning,
          "budget": budget, "config": config_signature(config)},
-        compute, use_cache=use_cache)
+        compute)
     return payload["cycles"]
 
 
-def _limit_cell(fingerprint, budget, config, region_set, use_cache):
+def _limit_cell(fingerprint, budget, config, region_set):
     """The dataflow-limit cycle count (its own artefact kind)."""
     from repro.evaluation.parallel import config_signature, memoised
 
@@ -83,23 +81,22 @@ def _limit_cell(fingerprint, budget, config, region_set, use_cache):
         "static_ilp",
         {"fingerprint": fingerprint, "regioning": "trace",
          "budget": budget, "config": config_signature(config)},
-        compute, use_cache=use_cache)
+        compute)
     return payload["cycles"]
 
 
-def ilp_bound(fingerprint, budget, bb_set, trace_set, use_cache=True):
+def ilp_bound(fingerprint, budget, bb_set, trace_set):
     """The static ILP triple of one program and the speedups it implies.
 
     *bb_set* and *trace_set* are the program's basic-block and trace
     region sets; the three cycle counts are memoised cells.
     """
     seq_cycles = _cycles_cell(fingerprint, "bb", None, sequential(),
-                              bb_set, use_cache)
+                              bb_set)
     achieved_cycles = _cycles_cell(fingerprint, "trace", budget,
-                                   ideal("ideal_tr"), trace_set,
-                                   use_cache)
+                                   ideal("ideal_tr"), trace_set)
     limit_cycles = _limit_cell(fingerprint, budget, ideal("dataflow"),
-                               trace_set, use_cache)
+                               trace_set)
     achieved = seq_cycles / achieved_cycles
     bound = seq_cycles / limit_cycles
     return {
@@ -114,7 +111,7 @@ def ilp_bound(fingerprint, budget, bb_set, trace_set, use_cache=True):
     }
 
 
-def analyze_benchmark(name, budget=DEFAULT_BUDGET, use_cache=True):
+def analyze_benchmark(name, budget=DEFAULT_BUDGET):
     """Analyze one suite benchmark; returns the per-target record of
     the analyze document (see :func:`repro.analysis.report
     .validate_analysis`)."""
@@ -209,8 +206,7 @@ def analyze_benchmark(name, budget=DEFAULT_BUDGET, use_cache=True):
                         census["independent"])
 
         with _pass_span("ilp_bound", name):
-            ilp = ilp_bound(fingerprint, budget, bb_set, trace_set,
-                            use_cache)
+            ilp = ilp_bound(fingerprint, budget, bb_set, trace_set)
 
         from repro.analysis.report import target_entry
         return target_entry(name, diagnostics, ops=len(program),
@@ -280,8 +276,8 @@ def validate_analyze_bench(document):
     return problems
 
 
-def timed_analyze(name, budget=DEFAULT_BUDGET, use_cache=True):
+def timed_analyze(name, budget=DEFAULT_BUDGET):
     """(record, seconds) of one benchmark's analysis (perf helper)."""
     started = time.perf_counter()
-    record = analyze_benchmark(name, budget, use_cache)
+    record = analyze_benchmark(name, budget)
     return record, time.perf_counter() - started

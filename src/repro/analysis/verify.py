@@ -22,19 +22,18 @@ them against the artefacts the compiler actually produced:
 * :func:`check_allocation` — no two simultaneously-live values share a
   physical register in a register binding.
 
-All checkers return lists of :class:`~repro.analysis.lint.Diagnostic`;
-:func:`raise_if_failed` upgrades findings to :class:`VerificationError`
-for callers that want hard failure (``evaluation.pipeline`` with
-``verify=True``, the ``repro verify`` CLI).
+All checkers return lists of :class:`~repro.analysis.lint.Diagnostic`
+and never raise.  :func:`repro.evaluation.pipeline.verify_evaluation`
+runs all of them over one compiled and profiled program; it is what
+``repro verify``, the service's ``verify`` op and the corpus sweep call.
 """
 
 from repro.analysis.lint import (
-    Diagnostic, format_diagnostics, _leaders_and_entries, _abi_registers)
+    Diagnostic, _leaders_and_entries, _abi_registers)
 from repro.intcode.ici import (
     OP_CLASS, BRANCH_OPS, CONTROL_OPS, MEM, ALU, MOVE, CTRL)
 
 __all__ = [
-    "VerificationError",
     "check_schedule",
     "check_pruned_edges",
     "check_transform",
@@ -42,22 +41,7 @@ __all__ = [
     "check_allocation",
     "NameLiveness",
     "off_live_names",
-    "raise_if_failed",
 ]
-
-
-class VerificationError(Exception):
-    """A checked compilation stage produced an illegal artefact."""
-
-    def __init__(self, diagnostics, context=""):
-        self.diagnostics = list(diagnostics)
-        prefix = (context + ":\n") if context else ""
-        super().__init__(prefix + format_diagnostics(self.diagnostics))
-
-
-def raise_if_failed(diagnostics, context=""):
-    if diagnostics:
-        raise VerificationError(diagnostics, context)
 
 
 # -- independent memory-bank classification ---------------------------------

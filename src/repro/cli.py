@@ -64,7 +64,7 @@ from repro.benchmarks.suite import (
 from repro.intcode import optimize_program
 from repro.emulator import run_program
 from repro.intcode.ici import instruction_mix
-from repro.reader import ParseError, parse_program
+from repro.reader import LexError, ParseError, parse_program, parse_term
 
 
 class UsageError(Exception):
@@ -91,11 +91,11 @@ def _options(args):
 
 @contextlib.contextmanager
 def _diagnosed(path):
-    """A Prolog syntax or compile error in FILE *path* is a usage
-    error: one line naming the file."""
+    """A Prolog syntax or compile error in *path* (a FILE, or an
+    option such as ``--goal``) is a usage error: one line naming it."""
     try:
         yield
-    except (ParseError, CompileError) as error:
+    except (LexError, ParseError, CompileError) as error:
         raise UsageError("%s: %s" % (path, error)) from None
 
 
@@ -817,6 +817,8 @@ def cmd_query(args, out, err):
             source = resolve_program(args.benchmark).source
         except KeyError as error:
             raise UsageError(error.args[0]) from None
+    with _diagnosed("--goal"):
+        parse_term(args.goal)
 
     from repro.evaluation.parallel import configure
     from repro.interp.engine import PrologError

@@ -4,7 +4,7 @@ from repro.evaluation.simulator import (
     replay_region, replay_program, dynamic_region_stats)
 from repro.evaluation.pipeline import (
     RegionSet, basic_block_regions, superblock_regions, machine_cycles,
-    evaluate_benchmark, BenchmarkEvaluation)
+    BenchmarkEvaluation)
 from repro.evaluation.cache import CacheStore
 from repro.evaluation.parallel import (
     EvaluationEngine, EvaluationError, shared_engine, configure)
@@ -19,7 +19,6 @@ __all__ = [
     "basic_block_regions",
     "superblock_regions",
     "machine_cycles",
-    "evaluate_benchmark",
     "BenchmarkEvaluation",
     "EvaluationEngine",
     "EvaluationError",

@@ -24,12 +24,6 @@ memoised in a **content-addressed store**: the cache key is a hash of
   behaviour the artefact depends on.  Touching the scheduler invalidates
   only ``cell`` artefacts; profiles and region layouts survive.
 
-Verification status is part of the cached artefact, not a cache bypass:
-an artefact computed under the independent checker is stored with
-``verified: true`` and serves both verified and unverified requests; an
-unverified artefact is transparently recomputed (and upgraded) when a
-verified result is requested.
-
 Failures are contained per cell — and, since PR 4, *supervised*: every
 task runs under the resilience layer in
 :mod:`repro.evaluation.supervisor` (per-task deadlines with a watchdog,
@@ -276,33 +270,20 @@ def execute_task(spec):
     kind = spec["kind"]
     name = spec["benchmark"]
     fingerprint = spec["fingerprint"]
-    verify = spec.get("verify", False)
     if kind == "profile":
-        program, result = _worker_program(name, fingerprint)
-        if verify:
-            from repro.analysis.lint import lint_program
-            from repro.analysis.verify import raise_if_failed
-            raise_if_failed(lint_program(program, stage="lint"),
-                            "ICI lint of benchmark %r" % name)
+        _program, result = _worker_program(name, fingerprint)
         return {"steps": result.steps, "status": result.status,
-                "backend": result.backend, "verified": verify}
+                "backend": result.backend}
     if kind == "regions":
         region_set = _worker_region_set(name, fingerprint,
                                         spec["regioning"], spec["budget"])
-        if verify and spec["regioning"] != "bb":
-            from repro.analysis.verify import raise_if_failed
-            from repro.evaluation.pipeline import region_set_diagnostics
-            raise_if_failed(region_set_diagnostics(region_set),
-                            "superblock transform of benchmark %r" % name)
         mean_length, entries = region_set.stats()
-        return {"mean_length": mean_length, "entries": entries,
-                "verified": verify}
+        return {"mean_length": mean_length, "entries": entries}
     if kind == "cell":
         from repro.evaluation.pipeline import machine_cycles
         region_set = _worker_region_set(name, fingerprint,
                                         spec["regioning"], spec["budget"])
-        cycles = machine_cycles(region_set, spec["config"], verify=verify)
-        return {"cycles": cycles, "verified": verify}
+        return {"cycles": machine_cycles(region_set, spec["config"])}
     raise ValueError("unknown evaluation task kind %r" % kind)
 
 
@@ -420,19 +401,24 @@ class EvaluationEngine:
 
     # -- public API --------------------------------------------------------
 
-    def evaluate(self, name, configs, tail_dup_budget=48, use_cache=True,
-                 verify=False):
-        """Evaluate one benchmark; see :func:`evaluate_benchmark`."""
+    def evaluate(self, name, configs, tail_dup_budget=48):
+        """Evaluate one benchmark under every config in *configs*.
+
+        *configs* maps result keys to ``(MachineConfig, regioning)``
+        pairs, regioning being ``"bb"`` or ``"trace"``.  Returns a
+        :class:`~repro.evaluation.pipeline.BenchmarkEvaluation` with
+        cycle counts and region statistics.
+        """
         return self.evaluate_many([
             {"name": name, "configs": configs,
-             "tail_dup_budget": tail_dup_budget, "verify": verify},
-        ], use_cache=use_cache)[0]
+             "tail_dup_budget": tail_dup_budget},
+        ])[0]
 
-    def evaluate_many(self, requests, use_cache=True):
+    def evaluate_many(self, requests):
         """Evaluate a batch of benchmark requests through one DAG.
 
         Each request is a dict with keys ``name``, ``configs`` and
-        optionally ``tail_dup_budget`` (default 48) and ``verify``.
+        optionally ``tail_dup_budget`` (default 48).
         Nodes shared between requests (same program, same parameters,
         same configuration) are computed once.  Returns the matching
         list of :class:`BenchmarkEvaluation` objects; raises
@@ -454,7 +440,7 @@ class EvaluationEngine:
                                      traceback.format_exc()))
                     plans.append(None)
             sp.set(nodes=len(nodes))
-            self._run_nodes(nodes, use_cache)
+            self._run_nodes(nodes)
 
         evaluations = []
         for request, plan in zip(requests, plans):
@@ -497,18 +483,18 @@ class EvaluationEngine:
             raise error
         return evaluations
 
-    def prewarm_profiles(self, names, use_cache=True):
+    def prewarm_profiles(self, names):
         """Emulate (and cache) the dynamic profiles of *names* in
         parallel; subsequent :func:`run_benchmark` calls are disk hits."""
         nodes = {}
         failures = []
         for name in names:
             try:
-                self._add_profile_node(nodes, name, verify=False)
+                self._add_profile_node(nodes, name)
             except Exception:
                 failures.append(("profile %s" % name,
                                  traceback.format_exc()))
-        self._run_nodes(nodes, use_cache)
+        self._run_nodes(nodes)
         failures.extend((node.label, node.error)
                         for node in nodes.values() if node.failed)
         if failures:
@@ -549,31 +535,28 @@ class EvaluationEngine:
 
     # -- DAG construction --------------------------------------------------
 
-    def _intern(self, nodes, kind, label, spec, components, verify):
+    def _intern(self, nodes, kind, label, spec, components):
         key = artefact_key(self.store, kind, components)
         node = nodes.get(key)
         if node is None:
             node = _Node(key, label, dict(spec, id=key), key)
             nodes[key] = node
-        if verify:
-            node.spec["verify"] = True
         return node
 
-    def _add_profile_node(self, nodes, name, verify):
+    def _add_profile_node(self, nodes, name):
         fingerprint = program_fingerprint(compile_benchmark(name))
         return self._intern(
             nodes, "profile", "%s/profile" % name,
             {"kind": "profile", "benchmark": name,
-             "fingerprint": fingerprint, "verify": verify},
-            {"fingerprint": fingerprint}, verify)
+             "fingerprint": fingerprint},
+            {"fingerprint": fingerprint})
 
     def _plan_request(self, nodes, request):
         name = request["name"]
         configs = request["configs"]
         budget = request.get("tail_dup_budget", 48)
-        verify = request.get("verify", False)
         fingerprint = program_fingerprint(compile_benchmark(name))
-        profile_node = self._add_profile_node(nodes, name, verify)
+        profile_node = self._add_profile_node(nodes, name)
 
         region_nodes = {}
         cell_nodes = {}
@@ -587,36 +570,33 @@ class EvaluationEngine:
                     "%s/regions/%s" % (name, regioning),
                     {"kind": "regions", "benchmark": name,
                      "fingerprint": fingerprint, "regioning": regioning,
-                     "budget": region_budget, "verify": verify},
+                     "budget": region_budget},
                     {"fingerprint": fingerprint, "regioning": regioning,
-                     "budget": region_budget}, verify)
+                     "budget": region_budget})
                 _link(profile_node, region_node)
                 region_nodes[regioning] = region_node
             cell_node = self._intern(
                 nodes, "cell", "%s/cell/%s" % (name, config.name),
                 {"kind": "cell", "benchmark": name,
                  "fingerprint": fingerprint, "regioning": regioning,
-                 "budget": region_budget, "config": config,
-                 "verify": verify},
+                 "budget": region_budget, "config": config},
                 {"fingerprint": fingerprint, "regioning": regioning,
                  "budget": region_budget,
-                 "config": config_signature(config)}, verify)
+                 "config": config_signature(config)})
             _link(region_node, cell_node)
             cell_nodes[key] = cell_node
         return profile_node, region_nodes, cell_nodes
 
     # -- execution ---------------------------------------------------------
 
-    def _precheck(self, nodes, use_cache):
+    def _precheck(self, nodes):
         """Serve every node the store can satisfy; return the rest."""
         pending = {}
         for node in nodes.values():
             if node.done:
                 continue
-            payload = self.store.get(node.key) if use_cache else None
-            if payload is not None and (
-                    not node.spec.get("verify")
-                    or payload.get("verified")):
+            payload = self.store.get(node.key)
+            if payload is not None:
                 node.payload = payload
                 node.done = True
                 obs.add("engine.tasks.cached")
@@ -642,8 +622,8 @@ class EvaluationEngine:
                 self._fail(dependent,
                            "blocked: dependency %s failed" % node.label)
 
-    def _run_nodes(self, nodes, use_cache=True):
-        pending = self._precheck(nodes, use_cache)
+    def _run_nodes(self, nodes):
+        pending = self._precheck(nodes)
         if not pending:
             return
         # The supervisor picks serial (jobs=1) or pooled execution and

@@ -8,15 +8,21 @@ schedule every executed region, replay the profile through the schedules.
 Results are memoised on disk — scheduling thousands of regions for many
 machine configurations is the expensive part of the evaluation.  The
 memoisation (and the parallel fan-out across benchmarks and machine
-configurations) lives in :mod:`repro.evaluation.parallel`:
-:func:`evaluate_benchmark` submits its work through that engine.
+configurations) lives in :mod:`repro.evaluation.parallel`, whose
+engine calls the stages below.
+
+:func:`verify_evaluation` is the one way an evaluation is checked: it
+runs the same stages under the independent checker
+(:mod:`repro.analysis.verify`) and returns every finding as a
+:class:`~repro.analysis.lint.Diagnostic`.  ``repro verify``, the
+service's ``verify`` op and the corpus sweep all call it.
 """
 
 from repro.analysis.cfg import Cfg
 from repro.analysis.liveness import Liveness
 from repro.analysis.lint import Diagnostic, lint_program
 from repro.analysis.verify import (
-    VerificationError, NameLiveness, check_schedule, check_pruned_edges,
+    NameLiveness, check_schedule, check_pruned_edges,
     check_transform, check_regions, check_allocation, off_live_names)
 from repro.compaction.transform import form_superblocks, Region
 from repro.compaction.scheduler import schedule_region
@@ -114,19 +120,19 @@ def _off_live_map(region_set, region):
     return masks, reg_mask
 
 
-def machine_cycles(region_set, config, verify=False, diagnostics=None):
+def machine_cycles(region_set, config, diagnostics=None):
     """Total cycles of the program on *config* (schedule + replay).
 
-    With ``verify=True`` every schedule is validated by the independent
-    checker (:mod:`repro.analysis.verify`) as it is produced; violations
-    raise :class:`VerificationError` — unless *diagnostics* is a list,
-    in which case findings are appended there and the replay continues.
+    When *diagnostics* is a list, every schedule is validated by the
+    independent checker (:mod:`repro.analysis.verify`) as it is
+    produced, its findings are appended there, and the replay
+    continues.
     """
     program = region_set.program
     schedules = []
     regions = []
+    verify = diagnostics is not None
     checker_liveness = region_set.name_liveness() if verify else None
-    found = diagnostics if diagnostics is not None else []
     prune = config.analysis_prune
     pruned_total = 0
     with observe.span("pipeline.schedule", config=config.name,
@@ -154,7 +160,7 @@ def machine_cycles(region_set, config, verify=False, diagnostics=None):
                 checker_live_out = \
                     checker_liveness.live_in_at(region.end) \
                     if live_out is not None else None
-                found.extend(check_schedule(
+                diagnostics.extend(check_schedule(
                     instructions, schedule, config, checker_off_live,
                     region=(region.start, region.end),
                     live_out=checker_live_out))
@@ -162,7 +168,7 @@ def machine_cycles(region_set, config, verify=False, diagnostics=None):
                     # Every edge the analysis removed must be re-proven
                     # by the checker's own facts (the analyzer is never
                     # trusted).
-                    found.extend(check_pruned_edges(
+                    diagnostics.extend(check_pruned_edges(
                         instructions, pruned, checker_off_live,
                         checker_live_out,
                         region=(region.start, region.end)))
@@ -172,9 +178,6 @@ def machine_cycles(region_set, config, verify=False, diagnostics=None):
         if prune:
             sp.set(pruned_edges=pruned_total)
             observe.add("pipeline.pruned_edges", pruned_total)
-        if verify and diagnostics is None and found:
-            raise VerificationError(
-                found, "illegal schedule under machine %r" % config.name)
     with observe.span("pipeline.simulate", config=config.name) as sp:
         cycles = replay_program(program, regions, schedules,
                                 region_set.counts, region_set.taken)
@@ -223,8 +226,12 @@ def verify_evaluation(program, result, configs, tail_dup_budget=48,
     """Run the full checker stack over one compiled+profiled program.
 
     ``configs`` maps result keys to ``(MachineConfig, regioning)`` pairs
-    exactly like :func:`evaluate_benchmark`.  Returns the list of all
-    diagnostics (empty when every stage verifies clean); never raises.
+    exactly like :meth:`~repro.evaluation.parallel.EvaluationEngine
+    .evaluate`.  The stages are ICI lint, transform bisimulation and
+    region sanity (trace regionings), schedule legality and pruned
+    edges (every config) and register allocation (once per regioning).
+    Returns the list of all diagnostics (empty when every stage
+    verifies clean); never raises.
     """
     diags = lint_program(program, stage="lint")
     region_sets = {}
@@ -252,8 +259,7 @@ def verify_evaluation(program, result, configs, tail_dup_budget=48,
             diags.append(Diagnostic(
                 "transform", "behaviour-changed", str(error)))
             continue
-        machine_cycles(region_set, config, verify=True,
-                       diagnostics=diags)
+        machine_cycles(region_set, config, diagnostics=diags)
         if regioning not in seen_alloc:
             seen_alloc.add(regioning)
             diags.extend(allocation_diagnostics(region_set, config,
@@ -278,30 +284,3 @@ class BenchmarkEvaluation:
     def region_stats(self):
         return self.data["region_stats"]
 
-
-def evaluate_benchmark(name, configs, tail_dup_budget=48,
-                       use_cache=True, verify=False, engine=None):
-    """Evaluate benchmark *name* under every config in *configs*.
-
-    ``configs`` maps result keys to ``(MachineConfig, regioning)`` where
-    regioning is ``"bb"`` or ``"trace"``.  Returns a
-    :class:`BenchmarkEvaluation` with cycle counts and region statistics.
-
-    The work is submitted through an
-    :class:`~repro.evaluation.parallel.EvaluationEngine` (*engine*, or
-    the shared one), which fans independent cells out across worker
-    processes and memoises every artefact in the content-addressed
-    cache.
-
-    With ``verify=True`` the independent checker validates the program
-    (lint), the superblock transform, and every schedule as they are
-    produced; verification status is part of each cached artefact, so a
-    previously verified artefact is served from cache while an
-    unverified one is transparently recomputed under the checker.  Any
-    finding fails that cell and surfaces as
-    :class:`~repro.evaluation.parallel.EvaluationError`.
-    """
-    from repro.evaluation.parallel import shared_engine
-    engine = engine or shared_engine()
-    return engine.evaluate(name, configs, tail_dup_budget=tail_dup_budget,
-                           use_cache=use_cache, verify=verify)

@@ -163,7 +163,7 @@ def sweep_target(spec):
         for width in SATURATION_WIDTHS:
             config, _regioning = widths["vliw%d" % width]
             cycles = _cycles_cell(fingerprint, "trace", budget, config,
-                                  trace_set, True)
+                                  trace_set)
             curve["vliw%d" % width] = (ilp["sequential_cycles"] / cycles
                                        if cycles else 0.0)
         record["saturation"] = curve

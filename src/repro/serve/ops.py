@@ -19,6 +19,7 @@ from repro.benchmarks.suite import (
     compile_benchmark, program_fingerprint, run_program_cached,
     suite_catalogue)
 from repro.experiments.data import master_configs
+from repro.reader import LexError, ParseError, parse_term
 
 __all__ = [
     "OPS",
@@ -128,6 +129,10 @@ def _parse_query_request(body, benchmark):
     goal = body.get("goal", "main")
     if not isinstance(goal, str) or not goal.strip():
         raise RequestError("'goal' must be a non-empty string")
+    try:
+        parse_term(goal)
+    except (LexError, ParseError) as error:
+        raise RequestError("'goal' does not parse: %s" % error) from None
     limit = body.get("limit", 64)
     if not isinstance(limit, int) or isinstance(limit, bool) \
             or not 1 <= limit <= 10000:

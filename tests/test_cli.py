@@ -153,13 +153,15 @@ FILE_COMMANDS = [
 
 def _bad_files():
     """(argv, source, message) for every FILE command: a syntax error
-    for all of them, a compile error for those that compile (query runs
-    the interpreter, for which an undefined goal is the query's own
-    failure, not a usage error)."""
+    and a token error for all of them, a compile error for those that
+    compile (query runs the interpreter, for which an undefined goal is
+    the query's own failure, not a usage error)."""
     for argv in FILE_COMMANDS:
         name = "-".join(arg.lstrip("-") for arg in argv)
         yield pytest.param(argv, "main :- foo(.\n", "unexpected token",
                            id=name + "-syntax")
+        yield pytest.param(argv, "main :- write('abc).\n",
+                           "unterminated quoted item", id=name + "-token")
         if argv[0] != "query":
             yield pytest.param(argv, "foo :- true.\n",
                                "undefined predicates: main/0",
@@ -183,6 +185,31 @@ def test_prolog_error_in_file_is_a_usage_error(argv, source, message,
     assert status == 2
     (line,) = errors.splitlines()
     assert line.startswith("repro %s: %s: %s" % (argv[0], path, message))
+    assert text == ""
+
+
+@pytest.mark.parametrize("target", [["--file"], ["conc30"]],
+                         ids=["file", "benchmark"])
+@pytest.mark.parametrize("goal, message", [
+    ("foo(", "unexpected token"),
+    ("'abc", "unterminated quoted item"),
+], ids=["syntax", "token"])
+def test_goal_that_does_not_parse_is_a_usage_error(
+        target, goal, message, program_file, monkeypatch):
+    """``query --goal`` is read like a FILE: one line naming the
+    option, exit 2, before any worker pool starts."""
+    from repro.evaluation import parallel
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pool started for a bad goal")
+
+    monkeypatch.setattr(parallel, "configure", forbidden)
+    if target == ["--file"]:
+        target = target + [program_file]
+    status, text, errors = run_cli(["query"] + target + ["--goal", goal])
+    assert status == 2
+    (line,) = errors.splitlines()
+    assert line.startswith("repro query: --goal: %s" % message)
     assert text == ""
 
 
@@ -351,6 +378,21 @@ def test_verify_single_benchmark_single_machine():
         ["verify", "--bench", "conc30", "-m", "vliw3", "-m", "seq"])
     assert status == 0
     assert "conc30" in text and "clean" in text
+
+
+def test_verify_reports_findings_and_exits_1():
+    """A bank too small for the pinned interface registers: every
+    finding is a structured diagnostic on stderr, one FAIL line and
+    exit 1 (the checker reports, it never raises)."""
+    status, text, errors = run_cli(
+        ["verify", "--bench", "conc30", "-m", "seq", "--bank-size", "0",
+         "--jobs", "1"])
+    assert status == 1
+    assert text.splitlines()[0].split() == ["conc30", "FAIL", "62",
+                                            "finding(s)"]
+    assert "regalloc:phys-out-of-bank region[" in errors
+    assert errors.splitlines()[-1] == \
+        "verify: 62 finding(s) across 1 target(s)"
 
 
 def test_verify_unknown_benchmark():

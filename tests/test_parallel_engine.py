@@ -56,7 +56,7 @@ def _fast_policy():
 
 
 def _run(monkeypatch, cache_root, jobs=1, benchmarks=("conc30",),
-         configs=None, budget=48, verify=False):
+         configs=None, budget=48):
     """One evaluate_many sweep against *cache_root*; (evaluations, store)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_root))
     # Hermetic runs: drop the per-process worker memos so in-process
@@ -69,7 +69,7 @@ def _run(monkeypatch, cache_root, jobs=1, benchmarks=("conc30",),
         _LAST_REPORT[0] = engine.report
         evaluations = engine.evaluate_many([
             {"name": name, "configs": configs or _configs(),
-             "tail_dup_budget": budget, "verify": verify}
+             "tail_dup_budget": budget}
             for name in benchmarks])
     return evaluations, store
 
@@ -231,29 +231,6 @@ def test_checksum_mismatch_is_detected(monkeypatch, tmp_path):
 
 
 # --------------------------------------------------------------------------
-# Verification status is part of the artefact, not a cache bypass.
-
-def test_verify_upgrades_artefacts_in_place(monkeypatch, tmp_path):
-    calls = []
-    real = parallel.execute_task
-
-    def counting(spec):
-        calls.append(spec["kind"])
-        return real(spec)
-
-    monkeypatch.setattr(parallel, "execute_task", counting)
-    _run(monkeypatch, tmp_path, verify=False)
-    assert len(calls) == NODES
-    # Unverified artefacts do not satisfy a verified request...
-    _run(monkeypatch, tmp_path, verify=True)
-    assert len(calls) == 2 * NODES
-    # ...but verified artefacts satisfy both kinds of request.
-    _run(monkeypatch, tmp_path, verify=True)
-    _run(monkeypatch, tmp_path, verify=False)
-    assert len(calls) == 2 * NODES
-
-
-# --------------------------------------------------------------------------
 # Failure containment.
 
 def test_unknown_benchmark_does_not_sink_the_sweep(monkeypatch, tmp_path):
@@ -269,7 +246,7 @@ def test_unknown_benchmark_does_not_sink_the_sweep(monkeypatch, tmp_path):
 
 def test_cell_failure_reports_the_cell_and_keeps_the_rest(
         monkeypatch, tmp_path):
-    def broken_scheduler(region_set, config, verify=False):
+    def broken_scheduler(region_set, config, diagnostics=None):
         raise RuntimeError("synthetic scheduler failure")
 
     monkeypatch.setattr("repro.evaluation.pipeline.machine_cycles",

@@ -239,6 +239,25 @@ def test_failed_sweep_is_answered_without_another_sweep(tmp_path,
     assert "serve.retries" not in metrics["counters"]
 
 
+def test_goal_that_does_not_parse_is_400_and_never_runs(tmp_path,
+                                                        monkeypatch):
+    # A goal the reader rejects can never succeed: it is refused when
+    # the request is parsed, not retried on the executor thread.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    config = ServiceConfig(jobs=1, cache_root=str(tmp_path / "cas"))
+    with ServiceThread(config) as thread:
+        status, payload, _ = request(
+            thread.port, "POST", "/v1/query",
+            {"benchmark": "conc30", "goal": "foo("})
+        metrics = request(thread.port, "GET", "/metrics")[1]
+    assert status == 400, payload
+    assert "'goal' does not parse" in payload["error"]
+    counters = metrics["counters"]
+    assert counters["serve.rejected.invalid"] == 1
+    assert counters.get("serve.retries", 0) == 0
+    assert "serve.failed" not in counters
+
+
 def test_expired_deadline_is_504(server):
     body = {"benchmark": BENCH, "configs": ["seq"],
             "deadline": 1e-9}

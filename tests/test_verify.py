@@ -3,13 +3,9 @@ seeded miscompiles — corrupted schedules, dropped/retargeted code after
 the transform, aliased registers in a binding — are detected with the
 right structured diagnostic."""
 
-import pytest
-
 from repro.analysis import (
     check_schedule, check_pruned_edges, check_transform, check_regions,
-    check_allocation, off_live_names, format_diagnostics,
-    VerificationError, raise_if_failed)
-from repro.analysis.lint import Diagnostic
+    check_allocation, off_live_names, format_diagnostics)
 from repro.bam import compile_source
 from repro.compaction import MachineConfig, Region, schedule_region
 from repro.compaction.scheduler import Schedule
@@ -436,16 +432,6 @@ def test_spilled_and_allocated_is_contradictory():
     assert "phys-overlap" in rules(diags)
 
 
-# -- error plumbing ----------------------------------------------------------
-
-def test_raise_if_failed():
-    raise_if_failed([])              # no-op on clean results
-    finding = Diagnostic("schedule", "raw-latency", "boom", pos=3)
-    with pytest.raises(VerificationError) as info:
-        raise_if_failed([finding], "context here")
-    assert "context here" in str(info.value)
-    assert "raw-latency" in str(info.value)
-    assert info.value.diagnostics == [finding]
 
 
 # -- pruned dependence edges: the analyzer is never trusted ------------------

@@ -9,8 +9,7 @@ from repro.analysis import format_diagnostics, lint_program
 from repro.benchmarks import TABLE_BENCHMARKS
 from repro.benchmarks.suite import compile_benchmark, run_program_cached
 from repro.evaluation.pipeline import (
-    evaluate_benchmark, verify_evaluation, superblock_regions,
-    machine_cycles)
+    verify_evaluation, superblock_regions, machine_cycles)
 from repro.intcode import optimize_program
 
 from tests.conftest import assert_lint_clean
@@ -33,12 +32,6 @@ def test_benchmark_pipeline_verifies(name, verifier_configs):
     assert diagnostics == [], format_diagnostics(diagnostics)
 
 
-def test_evaluate_benchmark_verify_flag(verifier_configs):
-    evaluation = evaluate_benchmark("qsort", verifier_configs,
-                                    verify=True)
-    assert evaluation.cycles("seq") > evaluation.cycles("vliw3")
-
-
 def test_machine_cycles_verify_matches_unverified(verifier_configs):
     name = "nreverse"
     program = compile_benchmark(name)
@@ -46,8 +39,30 @@ def test_machine_cycles_verify_matches_unverified(verifier_configs):
     region_set = superblock_regions(program, result,
                                     cache_hint=name + "-")
     config, _ = verifier_configs["vliw3"]
-    assert machine_cycles(region_set, config, verify=True) \
+    found = []
+    assert machine_cycles(region_set, config, diagnostics=found) \
         == machine_cycles(region_set, config)
+    assert found == []
+
+
+def test_corrupted_schedule_is_a_finding_not_an_exception(
+        monkeypatch, verifier_configs):
+    from repro.compaction.scheduler import Schedule
+    from repro.evaluation import pipeline
+
+    def collapsed(instructions, config, *args, **kwargs):
+        # every operation issued in cycle 0, consumers with producers
+        return Schedule(instructions, [0] * len(instructions), config)
+
+    monkeypatch.setattr(pipeline, "schedule_region", collapsed)
+    name = "conc30"
+    program = compile_benchmark(name)
+    result = run_program_cached(program, name + "-")
+    diagnostics = verify_evaluation(
+        program, result, {"vliw3": verifier_configs["vliw3"]},
+        cache_hint=name + "-")
+    assert "raw-latency" in {diag.rule for diag in diagnostics
+                             if diag.stage == "schedule"}
 
 
 def test_transformed_benchmarks_lint_clean(verifier_configs):
