@@ -27,8 +27,7 @@ paper table/figure) and the benchmark suite in :mod:`repro.benchmarks`.
 from repro.bam import compile_source, compile_database, CompileError, \
     CompilerOptions
 from repro.intcode import translate_module, optimize_program
-from repro.emulator import run_program, Emulator, EmulationResult, \
-    DebugMachine
+from repro.emulator import run_program, Emulator, EmulationResult
 from repro.interp import Engine, Database
 from repro.compaction import (
     MachineConfig, sequential, bam_like, vliw, ideal, symbol3,
@@ -88,7 +87,6 @@ __all__ = [
     "compile_database",
     "CompileError",
     "CompilerOptions",
-    "DebugMachine",
     "translate_module",
     "optimize_program",
     "run_program",

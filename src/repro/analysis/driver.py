@@ -69,12 +69,15 @@ def _cycles_cell(fingerprint, regioning, budget, config, region_set):
     return payload["cycles"]
 
 
-def _limit_cell(fingerprint, budget, config, region_set):
-    """The dataflow-limit cycle count (its own artefact kind)."""
+def _limit_cell(fingerprint, budget, config, trace_regions):
+    """The dataflow-limit cycle count (its own artefact kind).
+
+    *trace_regions* returns the trace region set; it is called only on
+    a cache miss."""
     from repro.evaluation.parallel import config_signature, memoised
 
     def compute():
-        return {"cycles": dataflow.dataflow_limit_cycles(region_set,
+        return {"cycles": dataflow.dataflow_limit_cycles(trace_regions(),
                                                          config)}
 
     payload = memoised(
@@ -96,7 +99,7 @@ def ilp_bound(fingerprint, budget, bb_set, trace_set):
     achieved_cycles = _cycles_cell(fingerprint, "trace", budget,
                                    ideal("ideal_tr"), trace_set)
     limit_cycles = _limit_cell(fingerprint, budget, ideal("dataflow"),
-                               trace_set)
+                               lambda: trace_set)
     achieved = seq_cycles / achieved_cycles
     bound = seq_cycles / limit_cycles
     return {

@@ -14,6 +14,9 @@ Two loops share one contract (bit-identical
 :func:`run_program` has one route: it runs the reference loop first
 and compiles only runs that outlive a step budget.
 ``EmulationResult.backend`` names the loop that produced a result.
+There is no third, single-step machine: after ``run()`` each loop
+keeps the data memory as the run left it in its ``memory``
+attribute, which is how the opcode tests probe both loops.
 """
 
 from repro.emulator.machine import (
@@ -27,7 +30,6 @@ from repro.emulator.machine import (
     decode,
 )
 from repro.emulator.codegen import CodegenEmulator, codegen_code
-from repro.emulator.debug import DebugMachine
 
 __all__ = [
     "BACKENDS",
@@ -40,5 +42,4 @@ __all__ = [
     "run_program",
     "render_term",
     "decode",
-    "DebugMachine",
 ]

@@ -910,7 +910,10 @@ class CodegenEmulator:
         same result, or the exact same fault with its precise pc)."""
         from repro.observability import tracing as observe
         observe.add("emulator.codegen.fallbacks")
-        return Emulator(self.program, max_steps=self.max_steps).run()
+        emulator = Emulator(self.program, max_steps=self.max_steps)
+        result = emulator.run()
+        self.memory = emulator.memory
+        return result
 
     def run(self):
         compiled = self.compiled
@@ -918,7 +921,8 @@ class CodegenEmulator:
             return self._fallback()
         program = self.program
         regs = initial_registers(program, self.reg_index)
-        mem = initial_memory(program)
+        # kept on the emulator: the data memory as the run left it
+        self.memory = mem = initial_memory(program)
         P = [0] * len(compiled.paths)
         out = []
         symbols = program.symbols

@@ -94,9 +94,9 @@ def decode(program):
     """Pre-decode a program into dense tuples and a register map.
 
     The decode is memoised on the :class:`Program` object: every consumer
-    (the reference loop, the codegen backend, the debug stepper and the
-    dataflow limit in :mod:`repro.evaluation.dynamic`) shares one decode
-    per program instead of re-walking the instruction list on each run.
+    (the reference loop, the codegen backend and the dataflow limit in
+    :mod:`repro.evaluation.dynamic`) shares one decode per program
+    instead of re-walking the instruction list on each run.
     """
     cached = getattr(program, "_decoded", None)
     if cached is not None:
@@ -203,7 +203,8 @@ class Emulator:
     def run(self, collect_stats=True):
         code = self.code
         regs = self._initial_registers()
-        mem = self._initial_memory()
+        # kept on the emulator: the data memory as the run left it
+        self.memory = mem = self._initial_memory()
         # Flat signed-64 buffers: one contiguous allocation for the whole
         # run instead of a Python list of boxed ints per program point.
         counts = array("q", bytes(8 * len(code)))

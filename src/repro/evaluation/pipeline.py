@@ -120,13 +120,15 @@ def _off_live_map(region_set, region):
     return masks, reg_mask
 
 
-def machine_cycles(region_set, config, diagnostics=None):
+def machine_cycles(region_set, config, diagnostics=None, bank_size=None):
     """Total cycles of the program on *config* (schedule + replay).
 
     When *diagnostics* is a list, every schedule is validated by the
     independent checker (:mod:`repro.analysis.verify`) as it is
     produced, its findings are appended there, and the replay
-    continues.
+    continues.  With a *bank_size* as well, the same schedules are
+    bound onto a register bank of that size and the bindings checked
+    (:func:`allocation_diagnostics`).
     """
     program = region_set.program
     schedules = []
@@ -178,6 +180,9 @@ def machine_cycles(region_set, config, diagnostics=None):
         if prune:
             sp.set(pruned_edges=pruned_total)
             observe.add("pipeline.pruned_edges", pruned_total)
+    if verify and bank_size is not None:
+        diagnostics.extend(allocation_diagnostics(
+            program, regions, schedules, bank_size))
     with observe.span("pipeline.simulate", config=config.name) as sp:
         cycles = replay_program(program, regions, schedules,
                                 region_set.counts, region_set.taken)
@@ -198,21 +203,12 @@ def region_set_diagnostics(region_set):
     return diags
 
 
-def allocation_diagnostics(region_set, config, bank_size=VERIFY_BANK_SIZE):
-    """Bind every executed region onto the prototype's register bank and
+def allocation_diagnostics(program, regions, schedules, bank_size):
+    """Bind each scheduled region onto the prototype's register bank and
     check the binding for interference (independent intervals)."""
     diags = []
-    program = region_set.program
-    for region in region_set.regions:
-        if region_set.counts[region.start] == 0:
-            continue
+    for region, schedule in zip(regions, schedules):
         instructions = program.instructions[region.start:region.end]
-        if config.speculation and region_set.liveness is not None:
-            off_live, reg_mask = _off_live_map(region_set, region)
-        else:
-            off_live, reg_mask = None, None
-        schedule = schedule_region(instructions, config,
-                                   off_live, reg_mask)
         allocation = region_pressure(instructions, schedule) \
             .allocate(bank_size)
         diags.extend(check_allocation(
@@ -259,11 +255,12 @@ def verify_evaluation(program, result, configs, tail_dup_budget=48,
             diags.append(Diagnostic(
                 "transform", "behaviour-changed", str(error)))
             continue
-        machine_cycles(region_set, config, diagnostics=diags)
-        if regioning not in seen_alloc:
-            seen_alloc.add(regioning)
-            diags.extend(allocation_diagnostics(region_set, config,
-                                                bank_size))
+        # the allocation check binds the schedules of the first config
+        # of each regioning
+        first = regioning not in seen_alloc
+        seen_alloc.add(regioning)
+        machine_cycles(region_set, config, diagnostics=diags,
+                       bank_size=bank_size if first else None)
     return diags
 
 

@@ -23,31 +23,23 @@ from repro.experiments.render import render_table, fmt
 BUDGET = 48
 
 
-def _dataflow_limit(name, budget=BUDGET):
-    """Memoised dataflow-limit cycles of *name*'s trace regions."""
-    from repro.analysis.dataflow import dataflow_limit_cycles
+def _dataflow_limit(name):
+    """Dataflow-limit cycles of *name*'s trace regions: the analyze
+    driver's memoised cell, whose region set is built only on a miss."""
+    from repro.analysis.driver import _limit_cell
     from repro.benchmarks.suite import (
         compile_benchmark, program_fingerprint, run_program_cached)
     from repro.compaction.machine_model import ideal
-    from repro.evaluation.parallel import config_signature, memoised
     from repro.evaluation.pipeline import superblock_regions
 
     program = compile_benchmark(name)
-    fingerprint = program_fingerprint(program)
-    config = ideal("dataflow")
 
-    def compute():
+    def trace_regions():
         result = run_program_cached(program, name + "-")
-        region_set = superblock_regions(program, result, budget,
-                                        name + "-")
-        return {"cycles": dataflow_limit_cycles(region_set, config)}
+        return superblock_regions(program, result, BUDGET, name + "-")
 
-    payload = memoised(
-        "static_ilp",
-        {"fingerprint": fingerprint, "regioning": "trace",
-         "budget": budget, "config": config_signature(config)},
-        compute)
-    return payload["cycles"]
+    return _limit_cell(program_fingerprint(program), BUDGET,
+                       ideal("dataflow"), trace_regions)
 
 
 def compute(benchmarks=None):

@@ -16,8 +16,9 @@ class ParseError(Exception):
 
     def __init__(self, message, token=None):
         if token is not None:
-            message = "%s at line %d (near %r)" % (
-                message, token.line, token.value)
+            near = "end of input" if token.kind == "eof" \
+                else "near %r" % (token.value,)
+            message = "%s at line %d (%s)" % (message, token.line, near)
         super().__init__(message)
 
 

@@ -285,6 +285,15 @@ class EvaluationService:
         finally:
             self._writers.discard(writer)
             try:
+                # Half-close first: a pool worker forked while this
+                # connection was open holds a copy of its socket, so
+                # close() alone sends no FIN and the client, reading
+                # to EOF, waits out its timeout.
+                if writer.can_write_eof():
+                    writer.write_eof()
+            except OSError:
+                pass                        # the peer already went away
+            try:
                 writer.close()
             except Exception:
                 pass

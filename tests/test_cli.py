@@ -193,7 +193,8 @@ def test_prolog_error_in_file_is_a_usage_error(argv, source, message,
 @pytest.mark.parametrize("goal, message", [
     ("foo(", "unexpected token"),
     ("'abc", "unterminated quoted item"),
-], ids=["syntax", "token"])
+    ("foo(", "unexpected token at line 1 (end of input)"),
+], ids=["syntax", "token", "eof"])
 def test_goal_that_does_not_parse_is_a_usage_error(
         target, goal, message, program_file, monkeypatch):
     """``query --goal`` is read like a FILE: one line naming the

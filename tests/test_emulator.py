@@ -5,7 +5,7 @@ import pytest
 from repro.terms import SymbolTable, tags
 from repro.intcode.program import Builder
 from repro.intcode import layout
-from repro.emulator import Emulator, EmulatorError
+from repro.emulator import CodegenEmulator, Emulator, EmulatorError
 
 
 def build(body):
@@ -18,11 +18,15 @@ def build(body):
 
 
 def _step_all(program):
-    """Final data memory after running *program* on the debug stepper."""
-    from repro.emulator.debug import DebugMachine
-    machine = DebugMachine(program)
-    machine.run()
-    return machine.mem
+    """Final data memory after running *program* on both production
+    loops: the reference loop and the compiled loop must leave the same
+    memory, and the compiled run must not have fallen back."""
+    reference = Emulator(program)
+    reference.run()
+    compiled = CodegenEmulator(program)
+    assert compiled.run().backend == "codegen"
+    assert compiled.memory == reference.memory
+    return reference.memory
 
 
 HEAP = layout.HEAP_BASE

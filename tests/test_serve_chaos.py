@@ -98,6 +98,24 @@ def test_load_test_under_faults_stays_correct(clean_faults,
     assert document["server"]["cache"]["quarantined"] >= 1
 
 
+def test_pooled_load_test_never_waits_out_the_client_timeout(
+        clean_faults, monkeypatch):
+    """The pool forks while the first wave's client sockets are open,
+    so the workers hold copies of them; the service half-closes each
+    connection, and a client reading to EOF gets its answer instead of
+    waiting out its timeout and retrying."""
+    import functools
+    from repro.serve import loadtest
+
+    monkeypatch.setattr(loadtest, "_http_json",
+                        functools.partial(loadtest._http_json,
+                                          timeout=5.0))
+    document = run_load_test(requests=64, concurrency=16, jobs=2)
+    assert document["wrong_answers"] == 0, document["wrong_detail"]
+    assert document["responses"]["retried"] == 0
+    assert document["outcomes"]["ok"] == 64
+
+
 # --------------------------------------------------------------------------
 # SIGTERM during load: graceful drain, exit 0.
 

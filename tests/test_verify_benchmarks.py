@@ -65,6 +65,47 @@ def test_corrupted_schedule_is_a_finding_not_an_exception(
                              if diag.stage == "schedule"}
 
 
+def test_checker_schedules_each_executed_region_once_per_config(
+        monkeypatch):
+    """The allocation check binds the schedules ``machine_cycles``
+    produced, so ``verify_evaluation`` schedules every executed region
+    exactly once per (region, config) — 211 calls for conc30 under the
+    master configurations, not 257."""
+    from collections import Counter
+    from repro.evaluation import pipeline
+    from repro.experiments.data import master_configs
+
+    name = "conc30"
+    program = compile_benchmark(name)
+    result = run_program_cached(program, name + "-")
+    configs = master_configs()
+    region_sets = {
+        "bb": pipeline.basic_block_regions(program, result),
+        "trace": superblock_regions(program, result,
+                                    cache_hint=name + "-")}
+    expected = Counter()
+    for key, (config, regioning) in configs.items():
+        region_set = region_sets[regioning]
+        for region in region_set.executed_regions():
+            instructions = region_set.program.instructions[
+                region.start:region.end]
+            expected[id(config), tuple(map(repr, instructions))] += 1
+
+    calls = Counter()
+    schedule_region = pipeline.schedule_region
+
+    def counted(instructions, config, *args, **kwargs):
+        calls[id(config), tuple(map(repr, instructions))] += 1
+        return schedule_region(instructions, config, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "schedule_region", counted)
+    diagnostics = verify_evaluation(program, result, configs,
+                                    cache_hint=name + "-")
+    assert diagnostics == [], format_diagnostics(diagnostics)
+    assert calls == expected
+    assert sum(calls.values()) == 211
+
+
 def test_transformed_benchmarks_lint_clean(verifier_configs):
     for name in ("qsort", "tak", "conc30"):
         program = compile_benchmark(name)
