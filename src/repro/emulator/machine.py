@@ -200,7 +200,7 @@ class Emulator:
     def _initial_memory(self):
         return initial_memory(self.program)
 
-    def run(self, collect_stats=True):
+    def run(self):
         code = self.code
         regs = self._initial_registers()
         # kept on the emulator: the data memory as the run left it

@@ -5,7 +5,8 @@ profile/regions/cell nodes; this module runs those nodes so that the
 sweep survives every failure mode the chaos suite can inject:
 
 * **watchdog deadlines** — every pooled task has a wall-clock deadline
-  (:attr:`SupervisorPolicy.deadline`); a hung worker is detected, the
+  (:attr:`SupervisorPolicy.deadline`), counted from when it gets a
+  worker, not from its submission; a hung worker is detected, the
   pool is killed (``SIGKILL`` — a hung task cannot be cancelled
   cooperatively) and replaced, and the overdue task is retried;
 * **bounded retry with deterministic backoff** — a failed task is
@@ -54,8 +55,9 @@ class SupervisorPolicy:
 
     *max_attempts* bounds executions per node (first try included).
     *deadline* is the per-task wall-clock budget in seconds for pooled
-    execution (None disables the watchdog; in-process execution is
-    never preempted).  *backoff_base*/*backoff_cap* shape the
+    execution, from when the task gets a worker (None disables the
+    watchdog; in-process execution is never preempted).
+    *backoff_base*/*backoff_cap* shape the
     exponential retry delay; *seed* makes the jitter deterministic.
     *max_pool_restarts* bounds pool resurrections before the
     supervisor degrades to serial in-process execution.
@@ -346,7 +348,7 @@ class Supervisor:
 
     def run_pooled(self, pending):
         waiting = dict(pending)          # id -> node, not yet running
-        in_flight = {}                   # future -> (node, deadline)
+        in_flight = {}                   # future -> (node, deadline or None)
         sleeping = []                    # (wake time, node) backoff queue
         attempts = dict.fromkeys(pending, 0)
         started = dict.fromkeys(pending, None)
@@ -434,9 +436,7 @@ class Supervisor:
                     attempts[node.id] -= 1
                     pool_broken = True
                     break
-                deadline = None if self.policy.deadline is None \
-                    else time.monotonic() + self.policy.deadline
-                in_flight[future] = (node, deadline)
+                in_flight[future] = (node, None)
 
             if not in_flight:
                 if sleeping and not waiting:
@@ -446,6 +446,18 @@ class Supervisor:
                 elif not waiting:
                     break
                 continue
+
+            # Arm each deadline when its task gets a worker, not at
+            # submit(): the pool runs tasks in submission order, so a
+            # task has one once fewer than `jobs` earlier-submitted
+            # tasks are unfinished.  Time spent queued is not its own.
+            if self.policy.deadline is not None:
+                now = time.monotonic()
+                for future, (node, deadline) in \
+                        list(in_flight.items())[:self.engine.jobs]:
+                    if deadline is None:
+                        in_flight[future] = (
+                            node, now + self.policy.deadline)
 
             done, _ = wait(list(in_flight), timeout=self.policy.poll,
                            return_when=FIRST_COMPLETED)

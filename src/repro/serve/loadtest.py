@@ -227,11 +227,14 @@ def _assemble(records, references, templates, server_metrics, extras):
     warm_hit_rate = None
     server_counters = {}
     if server_metrics:
-        cache = server_metrics.get("cache", {})
-        lookups = cache.get("hits", 0) + cache.get("misses", 0)
-        if lookups:
-            warm_hit_rate = cache.get("hits", 0) / lookups
         server_counters = server_metrics.get("counters", {})
+        # A memo hit is the store hit it replaced: a warm lookup.
+        cache = server_metrics.get("cache", {})
+        warm = cache.get("hits", 0) \
+            + server_counters.get("serve.memo_hits", 0)
+        lookups = warm + cache.get("misses", 0)
+        if lookups:
+            warm_hit_rate = warm / lookups
     document = header(SERVE_BENCH_KIND, SERVE_BENCH_SCHEMA)
     document.update({
         "requests": len(records),
@@ -346,7 +349,8 @@ def run_load_test(requests=2000, concurrency=64, jobs=2, url=None,
     workers and a fresh cache serves the run, so cold-compute,
     warm-hit, shedding and drain behaviour are all exercised in one
     process tree.  Pass *url* to drive an externally started service
-    instead (CI's smoke job does both).
+    instead (CI's smoke job does both).  *queue_limit* defaults to
+    :class:`ServiceConfig`'s, the one ``repro serve`` uses.
     """
     templates = mixed_templates(benchmarks, configs)
     sequence = [templates[index % len(templates)]
@@ -382,9 +386,10 @@ def run_load_test(requests=2000, concurrency=64, jobs=2, url=None,
         saved_cache = os.environ.get("REPRO_CACHE_DIR")
         os.environ["REPRO_CACHE_DIR"] = cache_root
         try:
-            config = ServiceConfig(
-                jobs=jobs, cache_root=cache_root,
-                queue_limit=queue_limit or max(16, concurrency // 2))
+            limit = {} if queue_limit is None \
+                else {"queue_limit": queue_limit}
+            config = ServiceConfig(jobs=jobs, cache_root=cache_root,
+                                   **limit)
             note("starting service: %d worker(s), queue limit %d"
                  % (jobs, config.queue_limit))
             with ServiceThread(config) as served:

@@ -31,7 +31,11 @@ for failure first:
 Whole-request results are memoised in the shared content-addressed
 store under the ``serve`` kind, which is what makes a repeated-query
 workload (the memoing access pattern of the or-parallel papers) serve
-from cache instead of recomputing.  The ``query`` op runs a goal
+from cache instead of recomputing.  On top of the store, a bounded
+in-process *answer memo* (:data:`MEMO_ENTRIES`, least recently used
+evicted first) keeps every clean 200 answer by its canonical spec, and
+a repeat is answered from it on the loop: no executor job, no store
+read.  The ``query`` op runs a goal
 through the or-parallel search engine (:mod:`repro.interp.orparallel`)
 on the service's evaluation engine, so its branch fan-out inherits the
 same pool, supervisor policy and clamped deadlines as evaluation
@@ -42,6 +46,7 @@ cells; its answer-memo hit/miss counts surface per cache kind in
 import asyncio
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.evaluation.cache import open_store
@@ -51,11 +56,15 @@ from repro.evaluation.supervisor import SupervisorPolicy
 from repro.observability.metrics import MetricsRegistry
 from repro.serve import http
 from repro.serve.ops import (
-    OPS, RequestError, compute_result, parse_request, request_label)
+    OPS, RequestError, canonical_json, compute_result, parse_request,
+    request_label)
 from repro.testing import faults
 
-__all__ = ["CircuitBreaker", "EvaluationService", "ServiceConfig",
-           "ServiceThread"]
+__all__ = ["CircuitBreaker", "EvaluationService", "MEMO_ENTRIES",
+           "ServiceConfig", "ServiceThread"]
+
+#: answers the in-process answer memo keeps (least recently used go)
+MEMO_ENTRIES = 256
 
 
 class ServiceConfig:
@@ -169,6 +178,13 @@ class _Pending:
         self.deadline = deadline
 
 
+def _answer(result, attempts, cached, degraded):
+    """The payload of a 200 response."""
+    return {"ok": True, "result": result,
+            "meta": {"attempts": attempts, "cached": cached,
+                     "degraded": degraded}}
+
+
 class EvaluationService:
     """The asyncio HTTP service wrapping one evaluation engine."""
 
@@ -193,6 +209,8 @@ class EvaluationService:
         # request the executor is running (executor thread only).
         self._inflight = 0
         self._executing = 0
+        # canonical spec -> result of a clean 200 (loop thread only)
+        self._memo = OrderedDict()
         self._started = time.monotonic()
         self._writers = set()
         self._executor = ThreadPoolExecutor(
@@ -326,6 +344,7 @@ class EvaluationService:
         if self._draining:
             self.metrics.add("serve.rejected.draining")
             return 503, {"ok": False, "error": "draining"}, None
+        admitted = time.monotonic()
         try:
             body = request.json()
             spec, deadline = parse_request(op, body)
@@ -333,15 +352,17 @@ class EvaluationService:
             self.metrics.add("serve.rejected.invalid")
             message = getattr(error, "message", None) or str(error)
             return 400, {"ok": False, "error": message}, None
+        budget = min(deadline or self.config.default_deadline,
+                     self.config.max_deadline)
+        key = canonical_json(spec)
+        if key in self._memo:
+            return self._answer_from_memo(key, admitted + budget)
         if self._waiting() >= self.config.queue_limit:
             self.metrics.add("serve.shed")
             return 429, {"ok": False, "error": "admission queue full",
                          "retry_after": self.config.retry_after}, \
                 {"Retry-After": "%g" % self.config.retry_after}
-        budget = min(deadline or self.config.default_deadline,
-                     self.config.max_deadline)
-        pending = _Pending(spec, request_label(spec),
-                           time.monotonic() + budget)
+        pending = _Pending(spec, request_label(spec), admitted + budget)
         self.metrics.add("serve.requests")
         self._inflight += 1
         try:
@@ -349,8 +370,38 @@ class EvaluationService:
                 self._executor, self._run, pending)
         finally:
             self._inflight -= 1
-        headers = outcome.get("headers")
-        return outcome["status"], outcome["payload"], headers
+        payload = outcome["payload"]
+        if outcome["status"] == 200:
+            self._count_answer(payload["meta"]["cached"])
+            if not payload["meta"]["degraded"]:
+                self._remember(key, payload["result"])
+        return outcome["status"], payload, outcome.get("headers")
+
+    def _answer_from_memo(self, key, deadline):
+        """A repeat of a clean 200: the answer a store hit would give,
+        without the executor hop, the store read, its fault site or
+        the breaker."""
+        self._memo.move_to_end(key)
+        self.metrics.add("serve.requests")
+        if time.monotonic() >= deadline:
+            outcome = self._deadline_exceeded(0)
+            return outcome["status"], outcome["payload"], None
+        self.metrics.add("serve.memo_hits")
+        self._count_answer(True)
+        return 200, _answer(self._memo[key], 1, True, False), None
+
+    def _count_answer(self, cached):
+        # Loop thread only: the registry is unlocked, so each of these
+        # counters keeps one writer.
+        self.metrics.add("serve.cache_hits" if cached
+                         else "serve.computed")
+        self.metrics.add("serve.ok")
+
+    def _remember(self, key, result):
+        self._memo[key] = result
+        self._memo.move_to_end(key)
+        if len(self._memo) > MEMO_ENTRIES:
+            self._memo.popitem(last=False)
 
     def _waiting(self):
         """Admitted requests queued behind the one executing."""
@@ -427,16 +478,8 @@ class EvaluationService:
             was_degraded = degraded or swept_degraded
             if was_degraded:
                 self.metrics.add("serve.degraded")
-            self.metrics.add("serve.cache_hits" if cached
-                             else "serve.computed")
-            self.metrics.add("serve.ok")
-            meta = {
-                "attempts": attempts,
-                "cached": cached,
-                "degraded": was_degraded,
-            }
-            return {"status": 200, "payload": {
-                "ok": True, "result": payload, "meta": meta}}
+            return {"status": 200, "payload": _answer(
+                payload, attempts, cached, was_degraded)}
 
     def _deadline_exceeded(self, attempts):
         self.metrics.add("serve.deadline_exceeded")

@@ -192,3 +192,21 @@ def test_map_surfaces_exhausted_items(tmp_path):
         with pytest.raises(parallel.EvaluationError) as caught:
             engine.map(_flaky_once, items)
     assert "first call fails by design" in str(caught.value)
+
+
+def _nap(seconds):              # module-level: picklable
+    time.sleep(seconds)
+    return seconds
+
+
+def test_map_deadline_counts_from_when_a_task_gets_a_worker():
+    # Eight 0.4 s tasks on two workers: the last two wait 1.2 s in the
+    # pool's queue and finish 1.6 s after submission, past the 1.5 s
+    # deadline, though each runs 0.4 s.  The wait is not theirs.
+    policy = SupervisorPolicy(deadline=1.5, max_attempts=1)
+    with EvaluationEngine(jobs=2, policy=policy) as engine:
+        results = engine.map(_nap, [0.4] * 8)
+        report = engine.report
+    assert results == [0.4] * 8
+    assert report.counts()["failed"] == 0
+    assert report.pool_restarts == 0
