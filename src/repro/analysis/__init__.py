@@ -1,15 +1,13 @@
 """Static and dynamic code analysis: CFG, liveness, dependence, Amdahl,
-the lattice dataflow framework, and the independent lint/verify
-checkers."""
+the static dataflow facts (dead code, memory disambiguation, the ILP
+bound), and the independent lint/verify checkers."""
 
 from repro.analysis.cfg import Cfg, BasicBlock
 from repro.analysis.liveness import Liveness
 from repro.analysis.dependence import build_dag, DependenceDag
 from repro.analysis.dataflow import (
-    AvailableExpressions, CopyConstants, DataflowAnalysis, LiveRegisters,
-    ReachingDefinitions, RegionMemoryFacts, Solution,
-    dataflow_limit_cycles, dead_writes, reachable_blocks,
-    region_dead_writes, region_dependence_height, solve,
+    RegionMemoryFacts, dataflow_limit_cycles, dead_writes,
+    reachable_blocks, region_dead_writes, region_dependence_height,
     unreachable_blocks)
 from repro.analysis.lint import Diagnostic, lint_program, \
     format_diagnostics
@@ -26,19 +24,12 @@ __all__ = [
     "Liveness",
     "build_dag",
     "DependenceDag",
-    "AvailableExpressions",
-    "CopyConstants",
-    "DataflowAnalysis",
-    "LiveRegisters",
-    "ReachingDefinitions",
     "RegionMemoryFacts",
-    "Solution",
     "dataflow_limit_cycles",
     "dead_writes",
     "reachable_blocks",
     "region_dead_writes",
     "region_dependence_height",
-    "solve",
     "unreachable_blocks",
     "Diagnostic",
     "lint_program",

@@ -1,126 +1,49 @@
-"""Lattice-based dataflow analysis over the ICI control-flow graph.
+"""Static dataflow facts over the ICI control-flow graph.
 
 The paper's central question is *how much instruction-level parallelism
 Prolog code exposes* — a dataflow property.  This module supplies the
-static half of that measurement: a generic worklist engine over
-:class:`~repro.analysis.cfg.Cfg` (forward or backward, configurable
-join, widening for loops) plus the concrete passes the rest of the
-repository consumes:
+static half of that measurement:
 
-* :class:`ReachingDefinitions` — which definition sites reach each
-  block (forward, union join, bitset-encoded definition sites);
-* :class:`CopyConstants` — region-insensitive copy/constant
-  propagation (forward, pointwise meet on a flat const/copy lattice,
-  widening to not-a-constant at loop heads);
-* :class:`AvailableExpressions` — pure ALU/move expressions available
-  on every path (forward, intersection join);
-* :class:`LiveRegisters` — name-based backward liveness (union join),
-  feeding the dead-code facts;
-* :func:`unreachable_blocks` / :func:`dead_writes` — dead-code
-  detection: blocks no static or indirect entry path reaches, and
-  register writes whose value is never observed;
+* :func:`reachable_blocks` / :func:`unreachable_blocks` — blocks some
+  static or indirect entry path reaches, and the rest;
+* :func:`dead_writes` — register writes whose value is never observed,
+  read off the production liveness
+  (:class:`~repro.analysis.liveness.Liveness`, the solver the
+  superblock transform and the optimiser use);
 * :class:`RegionMemoryFacts` — memory-reference disambiguation for one
   scheduling region: must/may-alias classification of every load/store
   pair from static bank membership and base+offset reasoning;
+* :func:`region_dead_writes` — the scheduler's region-local dead-write
+  facts, in its bitmask vocabulary;
 * :func:`dataflow_limit_cycles` / :func:`region_dependence_height` —
   the **static ILP bound**: per-region dependence height under
   unbounded resources, replayed through the dynamic profile to a
   whole-program dataflow-limit speedup (the number the achieved
   schedules are measured against in ``results/table_static_ilp.txt``).
 
-Every pass runs under an observability span (``analyze.<pass>``), so
-``repro analyze --perf`` can budget analysis cost like any hot path.
+``repro analyze`` runs each of these under an observability span
+(``analyze.<pass>``), so ``repro analyze --perf`` can budget analysis
+cost like any hot path.
 """
 
 from repro.analysis.dependence import build_dag, memory_bank
+from repro.analysis.liveness import Liveness
 from repro.intcode.ici import BRANCH_OPS, CONTROL_OPS
 from repro.observability import tracing as observe
 
 __all__ = [
-    "AvailableExpressions",
-    "CopyConstants",
-    "DataflowAnalysis",
-    "LiveRegisters",
-    "ReachingDefinitions",
     "RegionMemoryFacts",
-    "Solution",
     "dataflow_limit_cycles",
     "dead_writes",
     "reachable_blocks",
     "region_dead_writes",
     "region_dependence_height",
-    "solve",
     "unreachable_blocks",
 ]
 
-#: worklist visits of one block before the engine asks the analysis to
-#: widen (loops whose lattice walks long descending chains)
-WIDEN_AFTER = 8
-
-#: hard backstop: no analysis may visit one block more often than this
-#: (a non-monotone transfer function is a bug; fail loudly, not by
-#: spinning)
-MAX_VISITS = 10_000
-
 
 # --------------------------------------------------------------------------
-# The engine.
-
-class DataflowAnalysis:
-    """Base class describing one dataflow problem to :func:`solve`.
-
-    Subclasses define the lattice implicitly through four methods; the
-    engine never inspects values beyond equality:
-
-    * ``boundary(cfg, block)`` — the value flowing into an *entry*
-      block (forward: program/indirect entries; backward: exit blocks);
-    * ``initial(cfg, block)`` — the optimistic starting value of every
-      other block edge;
-    * ``transfer(cfg, block, value)`` — the block's transfer function;
-    * ``join(values)`` — combine the values of several in-edges
-      (*values* is a non-empty list).
-
-    ``widen(old, new)`` is consulted after :data:`WIDEN_AFTER` visits
-    of the same block and must return a value that terminates the
-    chain; the default keeps ``new`` (correct for finite lattices).
-    """
-
-    direction = "forward"
-
-    def boundary(self, cfg, block):
-        raise NotImplementedError
-
-    def initial(self, cfg, block):
-        raise NotImplementedError
-
-    def transfer(self, cfg, block, value):
-        raise NotImplementedError
-
-    def join(self, values):
-        raise NotImplementedError
-
-    def widen(self, old, new):
-        return new
-
-
-class Solution:
-    """The fixpoint of one analysis: per-block in/out values.
-
-    ``in_of`` / ``out_of`` are keyed by block start pc; for backward
-    problems *in* still means "value at the block's first instruction"
-    (i.e. the result of the transfer), so callers read the same keys
-    whichever direction the problem ran.
-    """
-
-    __slots__ = ("analysis", "cfg", "in_of", "out_of", "visits")
-
-    def __init__(self, analysis, cfg, in_of, out_of, visits):
-        self.analysis = analysis
-        self.cfg = cfg
-        self.in_of = in_of
-        self.out_of = out_of
-        self.visits = visits
-
+# Reachability and dead code.
 
 def reachable_blocks(cfg):
     """Start pcs of blocks some entry path reaches: the forward closure
@@ -140,382 +63,6 @@ def reachable_blocks(cfg):
     return seen
 
 
-def _edges(cfg, direction, reachable):
-    """(inputs, outputs) adjacency over reachable blocks only, oriented
-    for the requested direction."""
-    succs = {}
-    for start in reachable:
-        succs[start] = [s for s in cfg.block_at[start].succs
-                        if s in reachable]
-    if direction == "forward":
-        inputs = {start: [] for start in reachable}
-        for start, outs in succs.items():
-            for succ in outs:
-                inputs[succ].append(start)
-        return inputs, succs
-    preds = {start: [] for start in reachable}
-    for start, outs in succs.items():
-        for succ in outs:
-            preds[succ].append(start)
-    return succs, preds
-
-
-def _entry_blocks(cfg, direction, reachable, inputs):
-    """Blocks whose boundary value is pinned rather than joined."""
-    if direction == "forward":
-        return {pc for pc in cfg.indirect_entries if pc in reachable}
-    # Backward: blocks with no (reachable) successor — region exits.
-    return {start for start in reachable if not inputs[start]}
-
-
-def solve(cfg, analysis):
-    """Run *analysis* to its fixpoint over *cfg* and return a
-    :class:`Solution`.
-
-    Deterministic worklist: blocks are visited in a fixed priority
-    order (program order for forward problems, reverse for backward),
-    values at entry blocks are re-joined with the boundary each visit,
-    and after :data:`WIDEN_AFTER` visits of the same block the
-    analysis's ``widen`` hook is applied so descending chains in
-    infinite or tall lattices still converge.
-    """
-    direction = analysis.direction
-    reachable = reachable_blocks(cfg)
-    inputs, outputs = _edges(cfg, direction, reachable)
-    entries = _entry_blocks(cfg, direction, reachable, inputs)
-
-    order = sorted(reachable, reverse=(direction == "backward"))
-    priority = {start: index for index, start in enumerate(order)}
-
-    # *upstream* is the joined value flowing into the transfer (block
-    # entry for forward problems, block exit for backward ones);
-    # *downstream* is the transfer's result.
-    upstream = {}
-    downstream = {}
-    visits = {start: 0 for start in reachable}
-    for start in reachable:
-        block = cfg.block_at[start]
-        if start in entries:
-            upstream[start] = analysis.boundary(cfg, block)
-        else:
-            upstream[start] = analysis.initial(cfg, block)
-        downstream[start] = analysis.transfer(cfg, block, upstream[start])
-
-    pending = set(reachable)
-    work = list(order)
-    while work:
-        work.sort(key=priority.__getitem__, reverse=True)
-        start = work.pop()
-        if start not in pending:
-            continue
-        pending.discard(start)
-        block = cfg.block_at[start]
-        visits[start] += 1
-        if visits[start] > MAX_VISITS:
-            raise RuntimeError(
-                "dataflow analysis %s did not converge at block %d"
-                % (type(analysis).__name__, start))
-
-        joined = [downstream[p] for p in inputs[start]]
-        if start in entries:
-            joined.append(analysis.boundary(cfg, block))
-        if not joined:
-            new_up = upstream[start]
-        else:
-            new_up = analysis.join(joined)
-        if visits[start] > WIDEN_AFTER:
-            new_up = analysis.widen(upstream[start], new_up)
-        new_down = analysis.transfer(cfg, block, new_up)
-        if new_up == upstream[start] and new_down == downstream[start]:
-            continue
-        upstream[start] = new_up
-        downstream[start] = new_down
-        for succ in outputs[start]:
-            if succ not in pending:
-                pending.add(succ)
-                work.append(succ)
-    # Per the Solution contract, in_of is always the value at the
-    # block's first instruction: the joined value for forward problems,
-    # the transfer result for backward ones.
-    if direction == "forward":
-        return Solution(analysis, cfg, upstream, downstream, visits)
-    return Solution(analysis, cfg, downstream, upstream, visits)
-
-
-# --------------------------------------------------------------------------
-# Reaching definitions.
-
-class ReachingDefinitions(DataflowAnalysis):
-    """Which definition sites reach each block (forward, union join).
-
-    A definition site is an instruction pc; the synthetic site ``-1``
-    stands for the ABI contract at indirect entry points.  Values are
-    int bitsets over the numbered sites, so join is ``|`` and the
-    per-block kill masks make transfer O(defs-in-block).
-    """
-
-    direction = "forward"
-
-    def __init__(self, cfg, abi_registers=()):
-        self.site_of = {}       # def index -> (pc, register)
-        self.sites_of_reg = {}  # register -> bitmask of its def sites
-        self._gen = {}
-        self._kill = {}
-        self._abi_mask = 0
-        for name in sorted(abi_registers):
-            self._abi_mask |= self._add_site(-1, name)
-        instructions = cfg.program.instructions
-        for block in cfg.blocks:
-            gen = 0
-            kill = 0
-            for pc in range(block.start, block.end):
-                for name in instructions[pc].writes():
-                    bit = self._add_site(pc, name)
-                    kill |= self.sites_of_reg[name]
-                    gen = (gen & ~self.sites_of_reg[name]) | bit
-            self._gen[block.start] = gen
-            self._kill[block.start] = kill
-
-    def _add_site(self, pc, name):
-        index = len(self.site_of)
-        self.site_of[index] = (pc, name)
-        bit = 1 << index
-        self.sites_of_reg[name] = self.sites_of_reg.get(name, 0) | bit
-        return bit
-
-    def boundary(self, cfg, block):
-        return self._abi_mask
-
-    def initial(self, cfg, block):
-        return 0
-
-    def join(self, values):
-        out = 0
-        for value in values:
-            out |= value
-        return out
-
-    def transfer(self, cfg, block, value):
-        return (value & ~self._kill[block.start]) | self._gen[block.start]
-
-    def sites(self, mask):
-        """Decode a bitset into ``{(pc, register), ...}``."""
-        out = set()
-        index = 0
-        while mask:
-            if mask & 1:
-                out.add(self.site_of[index])
-            mask >>= 1
-            index += 1
-        return out
-
-
-# --------------------------------------------------------------------------
-# Copy / constant propagation.
-
-#: lattice bottom: the register's value is not a single known constant
-#: or copy on every path
-NAC = ("nac",)
-
-
-class CopyConstants(DataflowAnalysis):
-    """Copy and constant propagation (forward, pointwise meet).
-
-    A value maps register name -> fact, where a fact is ``("const",
-    imm)`` for ``ldi``-produced tagged words, ``("copy", source)`` for
-    ``mov`` chains (resolved to their root), or :data:`NAC`.  A name
-    missing from the map is *unknown-yet* (lattice top), so the meet of
-    an unvisited path constrains nothing.  Widening collapses any
-    still-changing entry to :data:`NAC`, which bounds loop iteration.
-    """
-
-    direction = "forward"
-
-    def __init__(self, cfg, abi_registers=()):
-        self._abi = {name: NAC for name in abi_registers}
-
-    def boundary(self, cfg, block):
-        return dict(self._abi)
-
-    def initial(self, cfg, block):
-        return {}
-
-    def join(self, values):
-        out = dict(values[0])
-        for value in values[1:]:
-            for name, fact in value.items():
-                if name not in out:
-                    out[name] = fact
-                elif out[name] != fact:
-                    out[name] = NAC
-        return out
-
-    def widen(self, old, new):
-        out = dict(new)
-        for name, fact in new.items():
-            if old.get(name, fact) != fact:
-                out[name] = NAC
-        return out
-
-    @staticmethod
-    def resolve(value, name):
-        """The root fact for *name* under *value*: follows copy chains
-        to a register no fact renames further."""
-        seen = set()
-        while True:
-            fact = value.get(name)
-            if fact is None or fact == NAC:
-                return ("reg", name)
-            if fact[0] == "const":
-                return fact
-            if fact[0] == "copy":
-                if name in seen:
-                    return ("reg", name)
-                seen.add(name)
-                name = fact[1]
-                continue
-            return ("reg", name)
-
-    def transfer(self, cfg, block, value):
-        out = dict(value)
-        instructions = cfg.program.instructions
-        for pc in range(block.start, block.end):
-            instruction = instructions[pc]
-            written = instruction.writes()
-            for name in written:
-                # The old value dies: any copy fact naming it is stale.
-                for other, fact in list(out.items()):
-                    if fact[0] == "copy" and fact[1] == name \
-                            and other != name:
-                        out[other] = NAC
-            if instruction.op == "ldi" and instruction.imm is not None:
-                out[instruction.rd] = ("const", instruction.imm)
-            elif instruction.op == "mov":
-                root = self.resolve(out, instruction.ra)
-                if root[0] == "const":
-                    out[instruction.rd] = root
-                elif root[1] == instruction.rd:
-                    out[instruction.rd] = NAC
-                else:
-                    out[instruction.rd] = ("copy", root[1])
-            else:
-                for name in written:
-                    out[name] = NAC
-        return out
-
-
-# --------------------------------------------------------------------------
-# Available expressions.
-
-#: every value-producing operation with no side effects and a
-#: deterministic result from its register operands
-_PURE_OPS = frozenset(
-    ["add", "sub", "mul", "div", "mod", "and", "or", "xor", "sll",
-     "sra", "lea", "mktag", "gettag", "mov", "ldi"])
-
-
-def _expression(instruction):
-    """The hashable expression an instruction computes, or None."""
-    if instruction.op not in _PURE_OPS:
-        return None
-    return (instruction.op, instruction.ra, instruction.rb,
-            instruction.imm, instruction.tag, instruction.label)
-
-
-class AvailableExpressions(DataflowAnalysis):
-    """Expressions computed on *every* path (forward, intersection).
-
-    The universe is the set of expressions the program contains;
-    blocks start optimistic (everything available) so loops converge
-    to the greatest fixpoint.  An expression dies when one of its
-    register operands is redefined.
-    """
-
-    direction = "forward"
-
-    def __init__(self, cfg):
-        self.universe = set()
-        for instruction in cfg.program.instructions:
-            expr = _expression(instruction)
-            if expr is not None:
-                self.universe.add(expr)
-
-    def boundary(self, cfg, block):
-        return frozenset()
-
-    def initial(self, cfg, block):
-        return frozenset(self.universe)
-
-    def join(self, values):
-        out = frozenset(values[0])
-        for value in values[1:]:
-            out &= value
-        return out
-
-    def transfer(self, cfg, block, value):
-        out = set(value)
-        instructions = cfg.program.instructions
-        for pc in range(block.start, block.end):
-            instruction = instructions[pc]
-            for name in instruction.writes():
-                out = {expr for expr in out
-                       if expr[1] != name and expr[2] != name}
-            expr = _expression(instruction)
-            if expr is not None and expr[1] not in instruction.writes() \
-                    and expr[2] not in instruction.writes():
-                out.add(expr)
-        return frozenset(out)
-
-
-# --------------------------------------------------------------------------
-# Liveness (name sets) and dead code.
-
-class LiveRegisters(DataflowAnalysis):
-    """Backward name-set liveness; ``in_of[start]`` is the set of
-    registers live on entry to the block at *start*.
-
-    Blocks ending in an indirect transfer (``call``/``jmpr``) and the
-    backward entry blocks assume the ABI set live-out, mirroring the
-    contract of :mod:`repro.analysis.liveness`.
-    """
-
-    direction = "backward"
-
-    def __init__(self, cfg, abi_registers=()):
-        self._abi = frozenset(abi_registers)
-        self._indirect_out = {}
-        instructions = cfg.program.instructions
-        for block in cfg.blocks:
-            op = instructions[block.end - 1].op
-            if op in ("call", "jmpr"):
-                self._indirect_out[block.start] = True
-
-    def boundary(self, cfg, block):
-        return self._abi
-
-    def initial(self, cfg, block):
-        return frozenset()
-
-    def join(self, values):
-        out = frozenset(values[0])
-        for value in values[1:]:
-            out |= value
-        return out
-
-    def transfer(self, cfg, block, value):
-        live = set(value)
-        if self._indirect_out.get(block.start):
-            live |= self._abi
-        instructions = cfg.program.instructions
-        for pc in range(block.end - 1, block.start - 1, -1):
-            instruction = instructions[pc]
-            for name in instruction.writes():
-                live.discard(name)
-            for name in instruction.reads():
-                live.add(name)
-        return frozenset(live)
-
-
 def unreachable_blocks(cfg):
     """Blocks no static or indirect entry path reaches, as a sorted
     list of ``(start, end)`` pairs."""
@@ -526,43 +73,45 @@ def unreachable_blocks(cfg):
 
 #: operations whose only effect is their register result — a write
 #: nobody observes makes the whole instruction dead
-_EFFECT_FREE = frozenset(list(_PURE_OPS) + ["ld"])
+_EFFECT_FREE = frozenset(
+    ["add", "sub", "mul", "div", "mod", "and", "or", "xor", "sll",
+     "sra", "lea", "mktag", "gettag", "mov", "ldi", "ld"])
 
 
-def dead_writes(cfg, liveness=None, abi_registers=()):
+def dead_writes(cfg):
     """Instruction pcs whose register result is never observed.
 
     A write is dead when the register is not live immediately after the
-    instruction — no later read on any path, not live at an indirect
-    transfer, not in the ABI set.  Only effect-free operations are
-    reported (a dead ``st`` does not exist; a dead ``ld`` still reads
-    memory, which is side-effect-free in this machine).  Unreachable
-    blocks are skipped: everything there is trivially dead and is
-    reported as unreachable instead.
+    instruction under :class:`~repro.analysis.liveness.Liveness`: no
+    later read on any path, not in the ABI set at an indirect transfer,
+    and not live at a ``call``'s return point (runtime routines such as
+    ``$unify`` preserve the caller's temporaries, so a value read after
+    the call returns is live across it).  Only effect-free operations
+    are reported (a dead ``st`` does not exist; a dead ``ld`` still
+    reads memory, which is side-effect-free in this machine).
+    Unreachable blocks are skipped: everything there is trivially dead
+    and is reported as unreachable instead.
     """
-    liveness = liveness or solve(cfg, LiveRegisters(cfg, abi_registers))
+    liveness = Liveness(cfg)
+    reg_ids = liveness.reg_ids
     reachable = reachable_blocks(cfg)
     instructions = cfg.program.instructions
     dead = []
     for block in cfg.blocks:
         if block.start not in reachable:
             continue
-        live = set()
-        for succ in block.succs:
-            live |= liveness.in_of.get(succ, frozenset(abi_registers))
-        op = instructions[block.end - 1].op
-        if op in ("call", "jmpr"):
-            live |= set(abi_registers)
+        live = liveness.live_out[block.start]
         for pc in range(block.end - 1, block.start - 1, -1):
             instruction = instructions[pc]
-            written = instruction.writes()
+            written = 0
+            for name in instruction.writes():
+                written |= 1 << reg_ids[name]
             if written and instruction.op in _EFFECT_FREE \
-                    and all(name not in live for name in written):
+                    and not written & live:
                 dead.append(pc)
-            for name in written:
-                live.discard(name)
+            live &= ~written
             for name in instruction.reads():
-                live.add(name)
+                live |= 1 << reg_ids[name]
     return sorted(dead)
 
 

@@ -1,11 +1,14 @@
-"""The ``repro analyze`` driver: run every dataflow pass over a
-benchmark and price the static ILP bound against the achieved schedule.
+"""The ``repro analyze`` driver: find a benchmark's dead code, count its
+disambiguated memory pairs and price the static ILP bound against the
+achieved schedule.
 
 One :func:`analyze_benchmark` call produces the per-benchmark record of
-the analyze document (see :mod:`repro.analysis.report`): pass
-statistics, analyze-stage diagnostics (unreachable blocks, dead
-writes), the memory-disambiguation census over the executed trace
-regions, and the ILP triple
+the analyze document (see :mod:`repro.analysis.report`): three pass
+statistics (``unreachable``, ``dead_code``, ``disambiguation``), the
+analyze-stage diagnostics (unreachable blocks, and dead writes read off
+the production :class:`~repro.analysis.liveness.Liveness`), the
+memory-disambiguation census over the executed trace regions, and the
+ILP triple
 
 * ``sequential_cycles`` — the Table 1 reference machine,
 * ``achieved_cycles`` — trace scheduling on the ideal machine
@@ -29,7 +32,7 @@ import time
 
 from repro.analysis import dataflow
 from repro.analysis.cfg import Cfg
-from repro.analysis.lint import Diagnostic, _abi_registers
+from repro.analysis.lint import Diagnostic
 from repro.benchmarks.suite import (
     compile_benchmark, program_fingerprint, run_program_cached)
 from repro.compaction.machine_model import ideal, sequential
@@ -126,50 +129,8 @@ def analyze_benchmark(name, budget=DEFAULT_BUDGET):
         fingerprint = program_fingerprint(program)
         result = run_program_cached(program, name + "-")
         cfg = Cfg(program)
-        abi = _abi_registers()
         passes = {}
         diagnostics = []
-
-        with _pass_span("reaching_definitions", name):
-            analysis = dataflow.ReachingDefinitions(cfg, abi)
-            solution = dataflow.solve(cfg, analysis)
-            passes["reaching_definitions"] = {
-                "blocks": len(solution.in_of),
-                "sites": len(analysis.site_of),
-                "visits": solution.visits,
-            }
-
-        with _pass_span("copy_constants", name):
-            solution = dataflow.solve(cfg, dataflow.CopyConstants(cfg))
-            constants = copies = 0
-            for value in solution.in_of.values():
-                for fact in value.values():
-                    if fact[0] == "const":
-                        constants += 1
-                    elif fact[0] == "copy":
-                        copies += 1
-            passes["copy_constants"] = {
-                "entry_constants": constants, "entry_copies": copies,
-            }
-
-        with _pass_span("available_expressions", name):
-            analysis = dataflow.AvailableExpressions(cfg)
-            solution = dataflow.solve(cfg, analysis)
-            available = sum(len(value)
-                            for value in solution.in_of.values())
-            passes["available_expressions"] = {
-                "universe": len(analysis.universe),
-                "entry_available": available,
-            }
-
-        with _pass_span("live_registers", name):
-            liveness = dataflow.solve(
-                cfg, dataflow.LiveRegisters(cfg, abi))
-            passes["live_registers"] = {
-                "max_live_in": max(
-                    (len(value) for value in liveness.in_of.values()),
-                    default=0),
-            }
 
         with _pass_span("unreachable", name):
             unreachable = dataflow.unreachable_blocks(cfg)
@@ -182,7 +143,7 @@ def analyze_benchmark(name, budget=DEFAULT_BUDGET):
                     % (start, end), region=(start, end)))
 
         with _pass_span("dead_code", name):
-            dead = dataflow.dead_writes(cfg, liveness, abi)
+            dead = dataflow.dead_writes(cfg)
             passes["dead_code"] = {"writes": len(dead)}
             observe.add("analyze.dead_writes", len(dead))
             for pc in dead:

@@ -2,9 +2,9 @@
 
 ``repro lint``, ``repro verify`` and ``repro analyze`` all emit
 :class:`~repro.analysis.lint.Diagnostic` findings; this module is their
-shared serializer.  The document layout (schema version 1)::
+shared serializer.  The document layout (schema version 2)::
 
-    {"schema": 1, "tool": "lint" | "verify" | "analyze",
+    {"schema": 2, "tool": "lint" | "verify" | "analyze",
      "targets": [
         {"target": "qsort", "count": 2,
          "diagnostics": [{"stage": ..., "rule": ..., "message": ...,
@@ -32,8 +32,10 @@ __all__ = [
     "validate_analysis",
 ]
 
-#: bump when the document layout changes incompatibly
-DIAGNOSTICS_SCHEMA = 1
+#: bump when the document layout changes incompatibly (2: an analyze
+#: target's ``passes`` holds only ``unreachable``, ``dead_code`` and
+#: ``disambiguation``)
+DIAGNOSTICS_SCHEMA = 2
 
 _TOOLS = ("lint", "verify", "analyze")
 
@@ -134,9 +136,7 @@ def validate_diagnostics(document):
     return problems
 
 
-_PASS_KEYS = ("reaching_definitions", "copy_constants",
-              "available_expressions", "live_registers", "unreachable",
-              "dead_code", "disambiguation")
+_PASS_KEYS = ("unreachable", "dead_code", "disambiguation")
 _ILP_KEYS = ("sequential_cycles", "achieved_cycles",
              "dataflow_limit_cycles", "achieved_speedup",
              "dataflow_limit_speedup", "gap")

@@ -6,8 +6,9 @@
     python -m repro listing program.pl        # BAM and ICI listings
     python -m repro speedup program.pl -m vliw3
     python -m repro analyze program.pl        # mix + branch statistics
-    python -m repro analyze --jobs 2          # dataflow passes + static
-                                              # ILP bound over the suite
+    python -m repro analyze --jobs 2          # dead code, disambiguation
+                                              # + static ILP bound over
+                                              # the suite
     python -m repro analyze --format json --output analyze.json
     python -m repro bench [--quick]           # time both emulator loops
     python -m repro bench mu                  # ... on one benchmark
@@ -960,8 +961,9 @@ def build_parser():
 
     p = sub.add_parser("analyze",
                        help="per-file: instruction mix + branch stats; "
-                            "without a file: dataflow passes + static "
-                            "ILP bound over suite benchmarks")
+                            "without a file: dead code, memory "
+                            "disambiguation + static ILP bound over "
+                            "suite benchmarks")
     _add_compile_flags(p, optional=True)
     p.add_argument("--max-steps", type=int, default=500_000_000)
     p.add_argument("--bench", action="append", metavar="NAME",

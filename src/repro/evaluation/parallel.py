@@ -108,6 +108,7 @@ _PROFILE_FILES = (
 #: loops produce identically.
 _PROFILE_ONLY_FILES = _PROFILE_FILES + ("emulator/codegen.py",)
 _REGION_FILES = _PROFILE_FILES + (
+    "compaction/trace.py",
     "compaction/transform.py",
     "analysis/cfg.py",
     "evaluation/simulator.py",
@@ -120,6 +121,30 @@ _CELL_FILES = _REGION_FILES + (
     "analysis/liveness.py",
     "evaluation/pipeline.py",
 )
+#: canonical (predicate, call-pattern) fingerprints map to rendered
+#: answer lists, so or-parallel answers depend on the whole
+#: term/reader/interpreter stack that produces and replays them
+_ORPARALLEL_FILES = ("interp/engine.py", "interp/orparallel.py",
+                     "interp/database.py", "interp/unify.py",
+                     "terms/term.py", "reader/lexer.py",
+                     "reader/parser.py", "reader/operators.py")
+#: whole-request results memoised by the evaluation service.  A request
+#: names a catalogue benchmark, not its fingerprint, so the key must
+#: cover everything behind the five ops' answers: the program
+#: catalogues and the front end (every op), the cell stack (evaluate),
+#: the checker (verify), the analyzer (analyze), the or-parallel stack
+#: (query) and the service's own result shaping.
+#: ``tests/test_serve_version.py`` traces each op against this set.
+_SERVE_FILES = tuple(dict.fromkeys(_CELL_FILES + _ORPARALLEL_FILES + (
+    "benchmarks/programs.py", "benchmarks/extended.py",
+    "benchmarks/suite.py", "corpus/workloads.py", "corpus/dcg.py",
+    "terms/symbols.py", "terms/tags.py",
+    "bam/clauses.py", "bam/compile.py", "bam/descriptors.py",
+    "bam/instructions.py", "bam/normalize.py", "bam/predicates.py",
+    "intcode/ici.py", "intcode/program.py", "intcode/translate.py",
+    "compaction/regalloc.py", "analysis/verify.py", "analysis/lint.py",
+    "analysis/driver.py", "analysis/report.py",
+    "evaluation/parallel.py", "experiments/data.py", "serve/ops.py")))
 _COMPONENT_FILES = {
     "profile": _PROFILE_ONLY_FILES,
     # whole emulation results (run_program_cached): per-pc counts,
@@ -133,18 +158,9 @@ _COMPONENT_FILES = {
     "wam": _CELL_FILES,
     # the static dataflow-limit bound (repro.experiments.static_ilp)
     "static_ilp": _CELL_FILES,
-    # whole-request results memoised by the evaluation service: they
-    # wrap cell/verify/analyze outputs, so they depend on everything a
-    # cell depends on plus the service's own result shaping
-    "serve": _CELL_FILES + ("serve/ops.py",),
-    # answer-memo entries of the or-parallel search engine: canonical
-    # (predicate, call-pattern) fingerprints map to rendered answer
-    # lists, so they depend on the whole term/reader/interpreter stack
-    # that produces and replays those renderings
-    "orparallel": ("interp/engine.py", "interp/orparallel.py",
-                   "interp/database.py", "interp/unify.py",
-                   "terms/term.py", "reader/lexer.py",
-                   "reader/parser.py", "reader/operators.py"),
+    # answer-memo entries of the or-parallel search engine
+    "orparallel": _ORPARALLEL_FILES,
+    "serve": _SERVE_FILES,
 }
 
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -3,8 +3,8 @@
 The paper measures how much instruction-level parallelism Prolog
 exposes (Tables 1/3) with a *scheduler in the loop*: the reported
 speedups include the shared memory port, the branch-order rule and the
-greedy scheduler's decisions.  The lattice framework
-(:mod:`repro.analysis.dataflow`) lets us price the pure dependence
+greedy scheduler's decisions.  The static dataflow facts
+(:mod:`repro.analysis.dataflow`) let us price the pure dependence
 height of the same regions — every operation issued as soon as its
 true dependences allow, memory references disambiguated by the
 must/may-alias pass — which is the classic *dataflow limit* on ILP.

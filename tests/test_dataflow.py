@@ -1,22 +1,29 @@
-"""Lattice dataflow framework: the worklist engine, every concrete
-pass, the region-level disambiguation/dead-write facts, and the static
-ILP bound — on hand-built CFGs (including adversarial shapes: dead
-code, irreducible loops, empty regions, fallthrough-only blocks) and
-property-based on random compiled programs."""
+"""Static dataflow facts: reachability, dead writes over the production
+liveness, the region-level disambiguation/dead-write facts, and the
+static ILP bound — on hand-built CFGs (including adversarial shapes:
+dead code, irreducible loops, writes live across a call return, empty
+regions, fallthrough-only blocks), differentially against the checker's
+own liveness on the catalogue and a corpus slice, and property-based on
+random compiled programs."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cfg import Cfg
 from repro.analysis.dataflow import (
-    AvailableExpressions, CopyConstants, LiveRegisters, NAC,
-    ReachingDefinitions, RegionMemoryFacts, dataflow_limit_cycles,
-    dead_writes, reachable_blocks, region_dead_writes,
-    region_dependence_height, solve, unreachable_blocks)
+    RegionMemoryFacts, _EFFECT_FREE, dataflow_limit_cycles, dead_writes,
+    reachable_blocks, region_dead_writes, region_dependence_height,
+    unreachable_blocks)
+from repro.analysis.liveness import Liveness
+from repro.analysis.verify import NameLiveness
 from repro.bam import compile_source
+from repro.benchmarks.suite import (
+    compile_benchmark, compile_program, suite_catalogue)
 from repro.compaction.machine_model import ideal, vliw
+from repro.corpus import corpus_programs
 from repro.emulator import Emulator
 from repro.intcode import translate_module
-from repro.intcode.ici import Ici
+from repro.intcode.ici import BRANCH_OPS, Ici
 from repro.intcode.program import Program
 
 
@@ -26,7 +33,7 @@ def prog(instructions, labels=None, entry="$start"):
     return Program(list(instructions), labels, None, entry=entry)
 
 
-# -- engine: reachability and convergence ------------------------------------
+# -- reachability and liveness convergence -----------------------------------
 
 def test_unreachable_blocks_after_halt():
     cfg = Cfg(prog([
@@ -51,9 +58,10 @@ def test_indirect_entries_are_reachable():
     assert unreachable_blocks(cfg) == []
 
 
-def test_engine_converges_on_irreducible_loop():
+def test_liveness_converges_on_irreducible_loop():
     # Two branch entries into a two-block cycle: no reducible-loop
-    # assumption holds, the engine must still reach a fixpoint.
+    # assumption holds, the solver must still reach the fixpoint, and
+    # a1 (read only at A) must flow round the back edge into B.
     cfg = Cfg(prog([
         Ici("btag", ra="a0", tag=0, label="B"),
         Ici("ldi", rd="r1", imm=1),
@@ -62,11 +70,11 @@ def test_engine_converges_on_irreducible_loop():
         Ici("btag", ra="a2", tag=0, label="A"),  # B: back edge to A
         Ici("halt"),
     ], labels={"A": 2, "B": 3}))
-    solution = solve(cfg, CopyConstants(cfg, abi_registers=("a0", "a1",
-                                                           "a2")))
-    assert max(solution.visits.values()) < 50
-    # r1 is 1 or 2 depending on the path: meet must say not-a-constant.
-    assert solution.in_of[3].get("r1") == NAC
+    liveness = Liveness(cfg)
+    assert liveness.live_in[0] == liveness.mask_of(["a0", "a1", "a2"])
+    assert liveness.live_in[2] == liveness.mask_of(["a1", "a2"])
+    assert liveness.live_in[3] == liveness.mask_of(["a1", "a2"])
+    assert liveness.live_in[5] == 0
 
 
 def test_self_loop_converges():
@@ -75,116 +83,9 @@ def test_self_loop_converges():
         Ici("btag", ra="a0", tag=0, label="L"),
         Ici("halt"),
     ], labels={"L": 0}))
-    solution = solve(cfg, ReachingDefinitions(cfg))
-    assert max(solution.visits.values()) < 50
-
-
-# -- reaching definitions ----------------------------------------------------
-
-def test_reaching_definitions_merge_both_paths():
-    cfg = Cfg(prog([
-        Ici("btag", ra="a0", tag=0, label="L"),
-        Ici("ldi", rd="r1", imm=1),
-        Ici("jmp", label="M"),
-        Ici("ldi", rd="r1", imm=2),   # L
-        Ici("add", rd="r2", ra="r1", rb="a0"),  # M
-        Ici("halt"),
-    ], labels={"L": 3, "M": 4}))
-    rd = ReachingDefinitions(cfg)
-    solution = solve(cfg, rd)
-    sites = rd.sites(solution.in_of[4])
-    assert (1, "r1") in sites and (3, "r1") in sites
-
-
-def test_reaching_definitions_kill():
-    cfg = Cfg(prog([
-        Ici("ldi", rd="r1", imm=1),
-        Ici("ldi", rd="r1", imm=2),
-        Ici("halt"),
-    ]))
-    rd = ReachingDefinitions(cfg)
-    solution = solve(cfg, rd)
-    assert rd.sites(solution.out_of[0]) == {(1, "r1")}
-
-
-def test_reaching_definitions_abi_boundary():
-    cfg = Cfg(prog([Ici("halt")]))
-    rd = ReachingDefinitions(cfg, abi_registers=("a0",))
-    solution = solve(cfg, rd)
-    assert (-1, "a0") in rd.sites(solution.in_of[0])
-
-
-# -- copy/constant propagation -----------------------------------------------
-
-def test_constants_flow_through_copy_chains():
-    cfg = Cfg(prog([
-        Ici("ldi", rd="r1", imm=7),
-        Ici("mov", rd="r2", ra="r1"),
-        Ici("mov", rd="r3", ra="r2"),
-        Ici("halt"),
-    ]))
-    solution = solve(cfg, CopyConstants(cfg))
-    out = solution.out_of[0]
-    assert CopyConstants.resolve(out, "r3") == ("const", 7)
-
-
-def test_copy_fact_dies_with_its_source():
-    cfg = Cfg(prog([
-        Ici("mov", rd="r2", ra="r1"),
-        Ici("add", rd="r1", ra="a0", rb="a0"),   # r1 redefined
-        Ici("halt"),
-    ]))
-    solution = solve(cfg, CopyConstants(cfg))
-    assert solution.out_of[0].get("r2") == NAC
-
-
-def test_loop_carried_constant_widens_to_nac():
-    # r1 is 0 on entry, incremented in the loop: no single constant.
-    cfg = Cfg(prog([
-        Ici("ldi", rd="r1", imm=0),
-        Ici("add", rd="r1", ra="r1", rb="r1"),   # L
-        Ici("ldi", rd="r1", imm=1),
-        Ici("btag", ra="a0", tag=0, label="L"),
-        Ici("halt"),
-    ], labels={"L": 1}))
-    solution = solve(cfg, CopyConstants(cfg))
-    assert solution.in_of[1].get("r1") == NAC
-
-
-# -- available expressions ---------------------------------------------------
-
-def test_expression_available_after_both_paths():
-    cfg = Cfg(prog([
-        Ici("add", rd="r1", ra="a0", rb="a1"),
-        Ici("btag", ra="a0", tag=0, label="M"),
-        Ici("ldi", rd="r9", imm=0),
-        Ici("sub", rd="r2", ra="a0", rb="a1"),   # M
-        Ici("halt"),
-    ], labels={"M": 3}))
-    ae = AvailableExpressions(cfg)
-    solution = solve(cfg, ae)
-    assert ("add", "a0", "a1", None, None, None) in solution.in_of[3]
-
-
-def test_expression_killed_by_operand_redefinition():
-    cfg = Cfg(prog([
-        Ici("add", rd="r1", ra="a0", rb="a1"),
-        Ici("ldi", rd="a0", imm=0),
-        Ici("halt"),
-    ]))
-    solution = solve(cfg, AvailableExpressions(cfg))
-    assert ("add", "a0", "a1", None, None, None) not in solution.out_of[0]
-
-
-def test_ldi_label_and_immediate_are_distinct_expressions():
-    cfg = Cfg(prog([
-        Ici("ldi", rd="r1", imm=0),
-        Ici("ldi", rd="r2", label="L"),
-        Ici("halt"),                              # L
-    ], labels={"L": 2}))
-    ae = AvailableExpressions(cfg)
-    exprs = {e for e in ae.universe if e[0] == "ldi"}
-    assert len(exprs) == 2
+    liveness = Liveness(cfg)
+    assert liveness.live_in[0] == liveness.mask_of(["a0"])
+    assert dead_writes(cfg) == [0]
 
 
 # -- liveness and dead code --------------------------------------------------
@@ -195,8 +96,8 @@ def test_live_registers_across_branch():
         Ici("add", rd="r2", ra="r1", rb="a0"),
         Ici("halt"),                              # L
     ], labels={"L": 2}))
-    solution = solve(cfg, LiveRegisters(cfg))
-    assert "r1" in solution.in_of[0]
+    liveness = Liveness(cfg)
+    assert liveness.live_in[0] & liveness.mask_of(["r1"])
 
 
 def test_call_block_keeps_abi_live():
@@ -206,9 +107,25 @@ def test_call_block_keeps_abi_live():
         Ici("halt"),
         Ici("jmpr", ra="RL"),                     # fn
     ], labels={"fn": 3}))
-    solution = solve(cfg, LiveRegisters(cfg, abi_registers=("a0",)))
-    assert "a0" in solution.out_of[0] or "a0" in solution.in_of[0]
-    assert dead_writes(cfg, abi_registers=("a0",)) == []
+    liveness = Liveness(cfg)
+    assert liveness.live_out[0] & liveness.mask_of(["a0"])
+    assert dead_writes(cfg) == []
+
+
+def test_write_read_after_call_return_is_live():
+    # Runtime routines ($unify, $equal) preserve the caller's
+    # temporaries, so r5 written before the call and read at its return
+    # point is live across the call; r6, never read, is still dead.
+    cfg = Cfg(prog([
+        Ici("mov", rd="r5", ra="a1"),
+        Ici("ldi", rd="r6", imm=1),
+        Ici("call", rd="RL", label="fn"),
+        Ici("mov", rd="a1", ra="r5"),             # return point
+        Ici("st", ra="a1", rb="H", imm=0),
+        Ici("halt"),
+        Ici("jmpr", ra="RL"),                     # fn
+    ], labels={"fn": 6}))
+    assert dead_writes(cfg) == [1]
 
 
 def test_dead_write_detected_and_stores_exempt():
@@ -242,6 +159,56 @@ def test_fallthrough_only_blocks():
     ], labels={"M": 2}))
     assert len(cfg.blocks) > 1
     assert dead_writes(cfg) == []
+
+
+def _checker_dead_writes(program):
+    """Dead writes re-derived from the checker's independent
+    :class:`~repro.analysis.verify.NameLiveness`, over its own leader
+    scan, with the same reachability skip."""
+    liveness = NameLiveness(program)
+    cfg = Cfg(program)
+    reachable = reachable_blocks(cfg)
+    instructions = program.instructions
+    n = len(instructions)
+    leaders = liveness.block_start
+    dead = []
+    for index, start in enumerate(leaders):
+        end = leaders[index + 1] if index + 1 < len(leaders) else n
+        if cfg.blocks[cfg.block_of_pc[start]].start not in reachable:
+            continue
+        terminator = instructions[end - 1]
+        op = terminator.op
+        target = program.labels.get(terminator.label)
+        live = set()
+        if op in BRANCH_OPS or op == "jmp":
+            if target is not None and target < n:
+                live |= liveness.live_in_at(target)
+        if op in ("call", "jmpr"):
+            live |= liveness.abi
+        if op not in ("jmp", "jmpr", "halt") and end < n:
+            live |= liveness.live_in_at(end)   # fallthrough or return
+        for pc in range(end - 1, start - 1, -1):
+            instruction = instructions[pc]
+            written = set(instruction.writes())
+            if written and instruction.op in _EFFECT_FREE \
+                    and not written & live:
+                dead.append(pc)
+            live -= written
+            live.update(instruction.reads())
+    return sorted(dead)
+
+
+@pytest.mark.parametrize("name", sorted(suite_catalogue()))
+def test_dead_writes_match_checker_liveness_on_catalogue(name):
+    program = compile_benchmark(name)
+    assert dead_writes(Cfg(program)) == _checker_dead_writes(program)
+
+
+def test_dead_writes_match_checker_liveness_on_corpus_slice():
+    for generated in corpus_programs(20):
+        program = compile_program(generated.source)
+        assert dead_writes(Cfg(program)) \
+            == _checker_dead_writes(program), generated.name
 
 
 # -- region memory facts -----------------------------------------------------
@@ -416,30 +383,21 @@ def test_passes_converge_and_agree_on_compiled_programs(source):
     program = translate_module(compile_source(source))
     cfg = Cfg(program)
     reachable = reachable_blocks(cfg)
+    unreachable = {start for start, _end in unreachable_blocks(cfg)}
 
-    rd = ReachingDefinitions(cfg)
-    rd_solution = solve(cfg, rd)
-    cc_solution = solve(cfg, CopyConstants(cfg))
-    ae = AvailableExpressions(cfg)
-    ae_solution = solve(cfg, ae)
-    lv_solution = solve(cfg, LiveRegisters(cfg))
-
-    for solution in (rd_solution, cc_solution, ae_solution, lv_solution):
-        assert set(solution.in_of) == reachable
-        assert max(solution.visits.values()) < 200
-    for start, value in ae_solution.in_of.items():
-        assert value <= frozenset(ae.universe)
-    # A reachable read must be fed by some reaching definition site.
+    # Reachability partitions the blocks and covers every entry.
+    assert reachable | unreachable == {block.start for block in cfg.blocks}
+    assert not reachable & unreachable
+    assert {pc for pc in cfg.indirect_entries if pc in cfg.block_at} \
+        <= reachable
+    # Dead writes are effect-free, reachable, and agree with the
+    # checker's liveness.
     instructions = program.instructions
-    for start in reachable:
-        block = cfg.block_at[start]
-        known = {name for _pc, name in rd.sites(rd_solution.in_of[start])}
-        for pc in range(block.start, block.end):
-            known.update(instructions[pc].writes())
-    # Dead writes are effect-free and reachable.
-    for pc in dead_writes(cfg):
+    dead = dead_writes(cfg)
+    for pc in dead:
         assert cfg.blocks[cfg.block_of_pc[pc]].start in reachable
         assert instructions[pc].op not in ("st", "esc")
+    assert dead == _checker_dead_writes(program)
 
 
 @settings(max_examples=15, deadline=None)
