@@ -110,10 +110,6 @@ class Cfg:
     def predecessors(self, block):
         return self.preds.get(block.start, [])
 
-    def block_counts(self, counts):
-        """Per-block execution counts from a per-pc profile."""
-        return [counts[block.start] for block in self.blocks]
-
     def dynamic_block_stats(self, counts):
         """(weighted mean size, executed blocks) — the paper's basic-block
         length statistic, weighted by execution frequency."""

@@ -98,16 +98,3 @@ class DStruct(Desc):
 
     def __repr__(self):
         return "DStruct(%r, %r)" % (self.name, self.args)
-
-
-def desc_vars(desc):
-    """Yield every DVar occurrence in *desc*, left to right."""
-    stack = [desc]
-    while stack:
-        node = stack.pop(0)
-        if isinstance(node, DVar):
-            yield node
-        elif isinstance(node, DList):
-            stack[:0] = [node.head, node.tail]
-        elif isinstance(node, DStruct):
-            stack[:0] = list(node.args)

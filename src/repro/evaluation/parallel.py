@@ -14,15 +14,16 @@ and runs the DAGs of many benchmarks side by side on a
 :class:`concurrent.futures.ProcessPoolExecutor`.  Every node's result is
 memoised in a **content-addressed store**: the cache key is a hash of
 
-* the compiled program's fingerprint (so editing a benchmark or the
-  compiler invalidates exactly the programs whose code changed),
+* the compiled program's fingerprint (so two programs, or two
+  differing compilations of one, never share an artefact),
 * the transform parameters (regioning kind; tail-duplication budget for
   trace regions — basic-block artefacts do not depend on the budget),
 * the machine configuration's semantic fields (its display name is
   excluded, so two differently-named identical configs share cells), and
-* a per-stage *code version* — a digest of the source files whose
-  behaviour the artefact depends on.  Touching the scheduler invalidates
-  only ``cell`` artefacts; profiles and region layouts survive.
+* the *code version* — one digest of every source file of the package,
+  shared by all kinds.  Any source edit invalidates every artefact,
+  profiles included; no hand-kept list of the files a kind depends on
+  can go stale.
 
 Failures are contained per cell — and, since PR 4, *supervised*: every
 task runs under the resilience layer in
@@ -74,11 +75,9 @@ __all__ = [
     "shared_engine",
 ]
 
-_JOBS_ENV = "REPRO_JOBS"
-
 
 # --------------------------------------------------------------------------
-# Cache keys: config signatures and code versions.
+# Cache keys: config signatures and the code version.
 
 def config_signature(config):
     """The semantic fields of a :class:`MachineConfig` as a JSON value.
@@ -93,101 +92,43 @@ def config_signature(config):
     return fields
 
 
-#: source files each artefact kind depends on, relative to the package
-#: root.  A change to a file invalidates the kinds that list it — and
-#: only those: editing the scheduler leaves profiles and region layouts
-#: cached.
-_PROFILE_FILES = (
-    "emulator/machine.py",
-    "intcode/runtime.py",
-    "intcode/layout.py",
-)
-#: the compiled loop is an implementation detail with a bit-identical
-#: output contract, so editing it invalidates only profile artefacts:
-#: region layouts and cycle cells consume profile *data*, which both
-#: loops produce identically.
-_PROFILE_ONLY_FILES = _PROFILE_FILES + ("emulator/codegen.py",)
-_REGION_FILES = _PROFILE_FILES + (
-    "compaction/trace.py",
-    "compaction/transform.py",
-    "analysis/cfg.py",
-    "evaluation/simulator.py",
-)
-_CELL_FILES = _REGION_FILES + (
-    "compaction/scheduler.py",
-    "compaction/machine_model.py",
-    "analysis/dependence.py",
-    "analysis/dataflow.py",
-    "analysis/liveness.py",
-    "evaluation/pipeline.py",
-)
-#: canonical (predicate, call-pattern) fingerprints map to rendered
-#: answer lists, so or-parallel answers depend on the whole
-#: term/reader/interpreter stack that produces and replays them
-_ORPARALLEL_FILES = ("interp/engine.py", "interp/orparallel.py",
-                     "interp/database.py", "interp/unify.py",
-                     "terms/term.py", "reader/lexer.py",
-                     "reader/parser.py", "reader/operators.py")
-#: whole-request results memoised by the evaluation service.  A request
-#: names a catalogue benchmark, not its fingerprint, so the key must
-#: cover everything behind the five ops' answers: the program
-#: catalogues and the front end (every op), the cell stack (evaluate),
-#: the checker (verify), the analyzer (analyze), the or-parallel stack
-#: (query) and the service's own result shaping.
-#: ``tests/test_serve_version.py`` traces each op against this set.
-_SERVE_FILES = tuple(dict.fromkeys(_CELL_FILES + _ORPARALLEL_FILES + (
-    "benchmarks/programs.py", "benchmarks/extended.py",
-    "benchmarks/suite.py", "corpus/workloads.py", "corpus/dcg.py",
-    "terms/symbols.py", "terms/tags.py",
-    "bam/clauses.py", "bam/compile.py", "bam/descriptors.py",
-    "bam/instructions.py", "bam/normalize.py", "bam/predicates.py",
-    "intcode/ici.py", "intcode/program.py", "intcode/translate.py",
-    "compaction/regalloc.py", "analysis/verify.py", "analysis/lint.py",
-    "analysis/driver.py", "analysis/report.py",
-    "evaluation/parallel.py", "experiments/data.py", "serve/ops.py")))
-_COMPONENT_FILES = {
-    "profile": _PROFILE_ONLY_FILES,
-    # whole emulation results (run_program_cached): per-pc counts,
-    # output and the producing loop of one compiled program
-    "emulation": _PROFILE_ONLY_FILES,
-    "regions": _REGION_FILES,
-    "cell": _CELL_FILES,
-    # experiment-level cells (see the callers in repro.experiments)
-    "dataflow": _PROFILE_FILES + ("evaluation/dynamic.py",),
-    "pressure": _CELL_FILES + ("compaction/regalloc.py",),
-    "wam": _CELL_FILES,
-    # the static dataflow-limit bound (repro.experiments.static_ilp)
-    "static_ilp": _CELL_FILES,
-    # answer-memo entries of the or-parallel search engine
-    "orparallel": _ORPARALLEL_FILES,
-    "serve": _SERVE_FILES,
-}
-
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_code_versions = {}
+_source_digest = None
 
 
 def code_version(kind):
-    """Digest of the source files artefacts of *kind* depend on."""
-    version = _code_versions.get(kind)
-    if version is None:
+    """Digest of every ``*.py`` file of the package, memoised per process.
+
+    *kind* selects nothing: every artefact kind shares this one code
+    version (:func:`artefact_key` keeps kinds apart), so which files an
+    artefact depends on cannot be listed wrongly.  The price is that
+    any source edit invalidates every kind.  Paths are hashed relative
+    and in POSIX form, so the digest does not depend on where the
+    package is installed.
+    """
+    global _source_digest
+    if _source_digest is None:
         digest = hashlib.sha256()
-        for relative in _COMPONENT_FILES[kind]:
-            digest.update(relative.encode())
-            path = os.path.join(_PACKAGE_ROOT, relative)
-            try:
+        for directory, subdirs, files in os.walk(_PACKAGE_ROOT):
+            subdirs[:] = sorted(name for name in subdirs
+                                if name != "__pycache__")
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(directory, name)
+                relative = os.path.relpath(path, _PACKAGE_ROOT)
                 with open(path, "rb") as handle:
-                    digest.update(handle.read())
-            except OSError:
-                digest.update(b"<missing>")
-        version = digest.hexdigest()[:16]
-        _code_versions[kind] = version
-    return version
+                    source = handle.read()
+                digest.update(b"%s\0%d\0" % (
+                    relative.replace(os.sep, "/").encode(), len(source)))
+                digest.update(source)
+        _source_digest = digest.hexdigest()[:16]
+    return _source_digest
 
 
 def artefact_key(store, kind, components):
     """*store*'s key for a *kind* artefact of *components*, with the
-    kind's :func:`code_version` appended."""
+    :func:`code_version` appended."""
     return store.key(kind, dict(components, code=code_version(kind)))
 
 
@@ -198,7 +139,7 @@ def memoised(kind, components, compute, store=None, use_cache=True):
     """Single-flight content-addressed memoisation.
 
     *components* identifies the inputs (fingerprints, parameters); the
-    appropriate :func:`code_version` is appended automatically.  Safe
+    :func:`code_version` is appended automatically.  Safe
     to call from pool workers — without a *store* the
     :func:`~repro.evaluation.cache.current_store` is used, re-opened
     from the environment in each process.  *store* is current while
@@ -678,21 +619,11 @@ def _link(dependency, dependent):
 _shared = None
 
 
-def _default_jobs():
-    value = os.environ.get(_JOBS_ENV)
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return 1
-
-
 def shared_engine():
-    """The process-wide engine (``REPRO_JOBS`` workers; default 1)."""
+    """The process-wide engine (in-process: one job)."""
     global _shared
     if _shared is None:
-        _shared = EvaluationEngine(jobs=_default_jobs())
+        _shared = EvaluationEngine(jobs=1)
     return _shared
 
 

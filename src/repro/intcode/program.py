@@ -36,9 +36,6 @@ class Program:
     def entry_pc(self):
         return self.labels[self.entry]
 
-    def target_pc(self, label):
-        return self.labels[label]
-
     def listing(self, start=0, end=None):
         """Assembly-style listing for debugging and documentation."""
         lines = []

@@ -58,24 +58,6 @@ def emit_new_unbound(b, rd):
     b.lea("H", "H", 1, tags.TRAW)
 
 
-def emit_globalize(b, reg):
-    """Make the word in *reg* safe to store into the heap.
-
-    If *reg* dereferences to an unbound stack cell, a fresh heap cell is
-    created and the stack cell bound to it (the WAM's unsafe-value rule);
-    afterwards *reg* holds a heap reference or a non-variable word.
-    """
-    emit_deref(b, reg)
-    ok = b.fresh_label("glob_ok")
-    b.bntag(reg, tags.TREF, ok)
-    b.branch("bltv", reg, "K_ENVB", ok)   # heap variable: already safe
-    cell = b.fresh_reg()
-    emit_new_unbound(b, cell)
-    emit_bind(b, reg, cell)
-    b.mov(reg, cell)
-    b.label(ok)
-
-
 # -- global routines ---------------------------------------------------------
 
 

@@ -106,7 +106,7 @@ def test_one_emulation_entry_per_program(tmp_path, monkeypatch):
 def test_code_version_bump_recomputes(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     run_program_cached(program_for(SOURCE_A), "t-")
-    monkeypatch.setitem(parallel._code_versions, "emulation", "edited")
+    monkeypatch.setattr(parallel, "_source_digest", "edited")
     with observe.activation(seed=0) as tracer:
         result = run_program_cached(program_for(SOURCE_A), "t-")
     assert result.output == "1\n"
